@@ -193,7 +193,7 @@ def expected(workload: str, seed: int) -> dict:
     wl = WORKLOADS[workload]
     oracles = {g.key: Oracle(g.generate(seed)) for g in wl.graphs}
     answers, tau = {}, {}
-    supports: dict[str, dict[int, dict[str, int]]] = {}
+    supports: dict[tuple[str, int], dict[str, int]] = {}
     for q in wl.queries:
         o = oracles[q.graph]
         if q.name in answers:
@@ -210,13 +210,13 @@ def expected(workload: str, seed: int) -> dict:
         elif q.kind == "exists_clique":
             ans = o.count(clique(q.arg)) > 0
         elif q.kind == "fsm":
-            if q.graph not in supports:
-                supports[q.graph] = {
-                    ne: {k: s for shape in generate_all_edge_induced(ne)
-                         for k, s in o.labeled_supports(shape).items()}
-                    for ne in (2, 3)
-                }
-            levels = [supports[q.graph][ne] for ne in range(2, q.max_edges + 1)]
+            for ne in range(2, q.max_edges + 1):
+                if (q.graph, ne) not in supports:
+                    supports[q.graph, ne] = {
+                        k: s for shape in generate_all_edge_induced(ne)
+                        for k, s in o.labeled_supports(shape).items()
+                    }
+            levels = [supports[q.graph, ne] for ne in range(2, q.max_edges + 1)]
             ranked = sorted((s for lv in levels for s in lv.values()), reverse=True)
             t = ranked[min(q.tau_rank, len(ranked)) - 1]
             ans = {}

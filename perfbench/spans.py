@@ -27,6 +27,10 @@ MINING_APPS = (
     "fsm",
 )
 SPARK_ACTIONS = ("count", "collect", "take")
+#: Driver-side canonicalisation, summed into ``pattern.canonical_*``: both
+#: canonical-form searches, and the relabeling map FSM recomputes per
+#: label tuple.
+CANONICAL_SPANS = ("pattern.canonical", "pattern.canonical_key", "pattern._iso_map")
 
 
 @dataclass
@@ -113,7 +117,11 @@ class Tracer:
         from repro.core import matcher, mining, plan
         from repro.core.pattern import Pattern
 
-        patches = [(Pattern, "canonical", self._wrap("pattern.canonical", Pattern.canonical))]
+        patches = [
+            (Pattern, "canonical", self._wrap("pattern.canonical", Pattern.canonical)),
+            (Pattern, "canonical_key", self._wrap("pattern.canonical_key", Pattern.canonical_key)),
+            (mining, "_iso_map", self._wrap("pattern._iso_map", mining._iso_map)),
+        ]
         gen = self._wrap("plan.generate_plan", plan.generate_plan)
         patches += [(m, "generate_plan", gen) for m in (plan, matcher, mining)]
         mdf = self._wrap("matcher.match_df", matcher.match_df)

@@ -1,6 +1,7 @@
 """Per-query Spark accounting read from the status stores.
 
-Every query runs in its own job group. After the query, the collector
+Every query runs in its own job group, named uniquely per pass, so a
+group's job ids are those of one query run only. After the query, the collector
 waits for the listener bus to drain, then reads:
 
 * job data (stages, tasks, submission times) from the application status
@@ -28,10 +29,12 @@ class SparkAccounting:
         gw = self.sc._gateway
         self._no_tasks = gw.jvm.java.util.ArrayList()
         self._no_quantiles = gw.new_array(gw.jvm.double, 0)
-        self._exec0 = 0
+        self._last_exec = -1
 
     def begin(self, group: str) -> None:
-        self._exec0 = self._sql.executionsList().size()
+        execs = self._sql.executionsList()
+        n = execs.size()
+        self._last_exec = execs.apply(n - 1).executionId() if n else -1
         self.sc.setJobGroup(group, group)
 
     def end(self, group: str, actions: list[tuple[float, float]]) -> dict:
@@ -69,9 +72,14 @@ class SparkAccounting:
             firsts = [t for t in submits if start - 0.002 <= t <= end]
             if firsts:
                 out["plan_s"] += max(0.0, min(firsts) - start)
+        # executions are listed by id; the store drops the oldest ones
+        # once it holds spark.sql.ui.retainedExecutions, so walk back from
+        # the newest instead of counting from a saved list size
         execs = self._sql.executionsList()
-        for i in range(self._exec0, execs.size()):
+        for i in range(execs.size() - 1, -1, -1):
             ex = execs.apply(i)
+            if ex.executionId() <= self._last_exec:
+                break
             if ex.description() != group:
                 continue
             out["sql_executions"] += 1

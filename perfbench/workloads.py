@@ -1,4 +1,4 @@
-"""Seeded workload definitions: graph shapes and fixed query lists.
+"""Seeded workload definitions: graph shapes and query streams.
 
 Graph shapes copy the size and skew parameters of the lite datasets in
 ``repro/graph/datasets.py`` (MI, OK, FR). ``scale`` divides the
@@ -10,9 +10,10 @@ This module imports nothing from Spark, so the oracle process can use it.
 """
 from __future__ import annotations
 
+import random
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 #: shape -> (vertices, undirected edges, power-law alpha, labels or None),
 #: as in repro/graph/datasets.py.
@@ -49,16 +50,16 @@ class Query:
     """One user-level call into ``repro.core.mining``.
 
     ``kind`` selects the app; ``arg`` is its size, pattern name or
-    bound. ``tau_rank``/``max_edges`` parameterise FSM: the threshold is
-    the support of the ``tau_rank``-th most frequent pattern, fixed per
-    seed by the oracle so the answer size does not swing with the graph.
+    bound. ``tau_rank`` parameterises FSM: the threshold is the support of
+    the ``tau_rank``-th most frequent pattern, fixed per seed by the
+    oracle so the answer size does not swing with the graph.
     """
 
     kind: str
     graph: str
     arg: object = None
     tau_rank: Optional[int] = None
-    max_edges: int = 3
+    max_edges: int = 2
 
     @property
     def name(self) -> str:
@@ -70,7 +71,21 @@ class Query:
 @dataclass(frozen=True)
 class Workload:
     graphs: tuple[GraphSpec, ...]
-    queries: tuple[Query, ...]  # one pass, in order
+    queries: tuple[Query, ...]  # one pass; catalog order for a stream
+    shuffled: bool = False  # the seed orders the pass
+
+    def stream(self, seed: int) -> list[Query]:
+        """The queries of one pass, in the order they are sent."""
+        out = list(self.queries)
+        if self.shuffled:
+            random.Random(f"stream:{seed}").shuffle(out)
+        return out
+
+
+def zipf_stream(catalog: Sequence[Query], top: int) -> tuple[Query, ...]:
+    """``catalog`` ranked by popularity, the query of rank r repeated
+    round(top / r) times (at least once): Zipf with exponent 1."""
+    return tuple(q for r, q in enumerate(catalog, 1) for _ in range(max(1, round(top / r))))
 
 
 OK1, MI4 = GraphSpec("OK"), GraphSpec("MI", 4)
@@ -87,26 +102,31 @@ WORKLOADS = {
         queries=(
             Query("motifs", OK1.key, 3),
             Query("cliques", OK1.key, 5),
-            Query("fsm", MI4.key, tau_rank=10, max_edges=2),
-            Query("fsm", MI4.key, tau_rank=40, max_edges=2),
+            Query("fsm", MI4.key, tau_rank=10),
+            Query("fsm", MI4.key, tau_rank=40),
         ),
     ),
-    # Many small queries, each a handful of Spark jobs: every query kind
-    # once, the popular (query, graph) pair twice, graph popularity skewed
-    # towards MI. The order is fixed, so seeds differ only in the graphs.
+    # Many small queries, each a handful of Spark jobs. Every query kind
+    # is in the catalog once, ranked by popularity (cheap queries on the
+    # labeled MI graph first); a pass sends them with Zipf counts
+    # (3, 2, then 1 each: 12 queries), in an order drawn from the seed.
     "interactive": Workload(
         graphs=(MI, OK, FR),
-        queries=(
+        queries=zipf_stream((
             Query("cliques", MI.key, 3),
+            Query("match", MI.key, "p2"),
+            Query("cc_exceeds", MI.key, 0.05),
             Query("match", OK.key, "p1"),
             Query("cliques", OK.key, 4),
-            Query("match", MI.key, "p2"),
-            Query("cliques", MI.key, 3),
             Query("match", FR.key, "p4"),
             Query("match", MI.key, "p7"),
             Query("match", OK.key, "p8"),
-            Query("cc_exceeds", MI.key, 0.05),
-            Query("exists_clique", FR.key, 6),
-        ),
+            # OK/2 holds 75-218 5-cliques for each of seeds 1-10, so every
+            # stage stops at its first witness. exists_clique(6) on FR/2
+            # stopped after 3 or 4 stages by seed (2.4 or 4.7 s); on OK/2,
+            # with 1-21 6-cliques, it took 9-12 s, half of a pass.
+            Query("exists_clique", OK.key, 5),
+        ), top=3),
+        shuffled=True,
     ),
 }
