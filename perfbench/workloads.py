@@ -110,9 +110,9 @@ WORKLOADS = {
     # is in the catalog once, ranked by popularity (cheap queries on the
     # labeled MI graph first); a pass sends them with Zipf counts
     # (6, 3, 2, 2, then 1 each: 18 queries), in an order drawn from the
-    # seed. With this many repeats the median latency falls among the
-    # popular sub-second queries; with 12 it fell in the gap between
-    # them and the 1.3-2 s ones, and jumped between runs.
+    # seed. The repeats put the median latency among the popular
+    # sub-second queries, not in the gap above them, where it would jump
+    # between runs.
     "interactive": Workload(
         graphs=(MI, OK, FR),
         queries=zipf_stream((
