@@ -99,24 +99,14 @@ def encode_labeled_edge_embedding(
     edges = [(idx[a], idx[b]) for a, b in eset]
     labels = [label_of[v] for v in vs]
     p = Pattern.of(len(vs), edges, labels=labels)
-    best = None
-    best_perm = None
-    for perm in itertools.permutations(range(p.n)):
-        enc = p._encoding(perm)
-        if best is None or enc < best:
-            best, best_perm = enc, perm
+    perm = p._canonical_perm()
     mapped = [0] * p.n
     for local, v in enumerate(vs):
-        mapped[best_perm[local]] = v
-    code = str(best)
+        mapped[perm[local]] = v
+    code = str(p._encoding(perm))
     orbits = _ORBIT_MEMO.get(code)
     if orbits is None:
-        canon = Pattern.of(
-            p.n,
-            [(min(best_perm[a], best_perm[b]), max(best_perm[a], best_perm[b])) for a, b in edges],
-            labels=[labels[best_perm.index(i)] for i in range(p.n)],
-        )
-        autos = canon.automorphisms()
+        autos = p._relabel(perm).automorphisms()
         orbits = tuple(min(a[j] for a in autos) for j in range(p.n))
         _ORBIT_MEMO[code] = orbits
     return code, tuple(mapped), orbits

@@ -17,6 +17,7 @@ DataFrame matching engine:
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -174,8 +175,9 @@ def _discover_supports(
     if not tuples:
         return {}
 
-    # driver-side canonicalization of each realized label tuple
-    canon_patterns: dict[tuple, Pattern] = {}
+    # driver-side canonicalization of each realized label tuple; each
+    # canonical pattern gets an int id and its orbits once
+    canon: dict[Pattern, tuple[int, dict[int, int]]] = {}
     map_rows = []
     for t in tuples:
         lt = {u: t[i] for i, u in enumerate(regs)}
@@ -183,21 +185,15 @@ def _discover_supports(
             [lt.get(u) if u in regs else None for u in range(pattern.n)]
         )
         qc = q.canonical()
-        key = qc.canonical_key()
-        canon_patterns.setdefault(key, qc)
-        # the permutation used by canonical(): recompute the mapping by
-        # finding any label/structure-preserving bijection q -> qc
+        if qc not in canon:
+            orbits = vertex_orbits(qc)
+            orbit_of = {v: i for i, orb in enumerate(orbits) for v in orb}
+            canon[qc] = (len(canon), orbit_of)
+        cid, orbit_of = canon[qc]
         perm = _iso_map(q, qc)
-        orbits = vertex_orbits(qc)
-        orbit_of = {v: i for i, orb in enumerate(orbits) for v in orb}
         for i, u in enumerate(regs):
             map_rows.append(
-                dict(
-                    zip(lcols, t),
-                    pos=i,
-                    canon=str(key),
-                    orbit=orbit_of[perm[u]],
-                )
+                dict(zip(lcols, t), pos=i, canon=cid, orbit=orbit_of[perm[u]])
             )
     map_pdf = pd.DataFrame(map_rows)
     spark = edges.sparkSession
@@ -213,37 +209,18 @@ def _discover_supports(
         .agg(F.count_distinct("v").alias("dom"))
         .collect()
     )
-    supports: dict[str, int] = {}
+    supports: dict[int, int] = {}
     for row in per_orbit:
-        supports[row["canon"]] = min(
-            supports.get(row["canon"], 1 << 60), row["dom"]
-        )
-    return {
-        canon_patterns[key]: supports[str(key)]
-        for key in canon_patterns
-        if str(key) in supports
-    }
+        supports[row["canon"]] = min(supports.get(row["canon"], 1 << 60), row["dom"])
+    return {qc: supports[cid] for qc, (cid, _) in canon.items() if cid in supports}
 
 
 def _iso_map(p: Pattern, q: Pattern) -> dict[int, int]:
     """A structure/label-preserving bijection from p's vertices to q's
     (both are the same canonical pattern up to relabeling)."""
-    import itertools
-
     for perm in itertools.permutations(range(p.n)):
-        if all(p.labels[v] == q.labels[perm[v]] for v in range(p.n)) and (
-            frozenset(
-                (min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in p.edges
-            )
-            == q.edges
-            and frozenset(
-                (min(perm[a], perm[b]), max(perm[a], perm[b]))
-                for a, b in p.anti_edges
-            )
-            == q.anti_edges
-            and frozenset(perm[v] for v in p.anti_vertices) == q.anti_vertices
-        ):
-            return {v: perm[v] for v in range(p.n)}
+        if p._maps_onto(perm, q):
+            return dict(enumerate(perm))
     raise AssertionError("patterns are not isomorphic")
 
 
@@ -271,7 +248,7 @@ def fsm(
     from .pattern import extend_by_edge, generate_all_edge_induced
 
     structures: list[Pattern] = generate_all_edge_induced(2)
-    frequent: dict[tuple, tuple[Pattern, int]] = {}
+    frequent: dict[Pattern, int] = {}
     examined = 0
     for ne in range(2, max_edges + 1):
         fertile: list[Pattern] = []  # structures with >= 1 frequent labeling
@@ -281,8 +258,8 @@ def fsm(
             for q, support in _discover_supports(
                 edges, labels, shape, symmetry_breaking=symmetry_breaking
             ).items():
-                if support >= threshold and q.canonical_key() not in frequent:
-                    frequent[q.canonical_key()] = (q, support)
+                if support >= threshold and q not in frequent:
+                    frequent[q] = support
                     found = True
             if found:
                 fertile.append(shape)
@@ -291,7 +268,4 @@ def fsm(
         structures = [
             s for s in extend_by_edge(fertile) if len(s.edges) == ne + 1
         ]
-    return FsmResult(
-        frequent={p: s for p, s in frequent.values()},
-        patterns_examined=examined,
-    )
+    return FsmResult(frequent=frequent, patterns_examined=examined)

@@ -198,25 +198,28 @@ class Pattern:
         return self.labels + (None,) * (n - self.n)
 
     # -- isomorphism machinery --------------------------------------------
+    # Every canonical form, automorphism and isomorphism test goes through
+    # one search (_canonical_perm) and one predicate (_maps_onto).
+    def _maps_onto(self, perm: Sequence[int], other: "Pattern") -> bool:
+        """Does renaming vertex ``v`` to ``perm[v]`` turn this pattern into
+        ``other`` — edges, anti-edges, labels and anti-vertex flags alike?
+        Anti-edges are *not* interchangeable with regular edges (§4.3)."""
+        return (
+            all(self.labels[v] == other.labels[perm[v]] for v in range(self.n))
+            and frozenset(perm[v] for v in self.anti_vertices) == other.anti_vertices
+            and frozenset(_norm_edge(perm[a], perm[b]) for a, b in self.edges)
+            == other.edges
+            and frozenset(_norm_edge(perm[a], perm[b]) for a, b in self.anti_edges)
+            == other.anti_edges
+        )
+
     def automorphisms(self) -> list[tuple[int, ...]]:
-        """All permutations preserving edges, anti-edges, labels and
-        anti-vertex flags. Anti-edges are *not* interchangeable with
-        regular edges (§4.3)."""
-        autos = []
-        for perm in itertools.permutations(range(self.n)):
-            if all(self.labels[v] == self.labels[perm[v]] for v in range(self.n)) and (
-                frozenset(perm[v] for v in self.anti_vertices) == self.anti_vertices
-            ):
-                if (
-                    frozenset(_norm_edge(perm[a], perm[b]) for a, b in self.edges)
-                    == self.edges
-                    and frozenset(
-                        _norm_edge(perm[a], perm[b]) for a, b in self.anti_edges
-                    )
-                    == self.anti_edges
-                ):
-                    autos.append(perm)
-        return autos
+        """All permutations mapping this pattern onto itself."""
+        return [
+            perm
+            for perm in itertools.permutations(range(self.n))
+            if self._maps_onto(perm, self)
+        ]
 
     def _encoding(self, perm: Sequence[int]) -> tuple:
         """Sortable structural encoding of this pattern relabeled so that
@@ -232,31 +235,32 @@ class Pattern:
             tuple(sorted(perm[v] for v in self.anti_vertices)),
         )
 
-    def canonical_key(self) -> tuple:
-        """Canonical (isomorphism-invariant) hashable key."""
-        return min(
-            self._encoding(perm) for perm in itertools.permutations(range(self.n))
-        )
+    def _canonical_perm(self) -> tuple[int, ...]:
+        """The first permutation with the smallest encoding: the canonical
+        relabeling."""
+        return min(itertools.permutations(range(self.n)), key=self._encoding)
 
-    def canonical(self) -> "Pattern":
-        """This pattern relabeled to its canonical form."""
-        best = None
-        best_perm = None
-        for perm in itertools.permutations(range(self.n)):
-            enc = self._encoding(perm)
-            if best is None or enc < best:
-                best, best_perm = enc, perm
-        assert best_perm is not None
+    def _relabel(self, perm: Sequence[int]) -> "Pattern":
+        """This pattern with old vertex ``v`` renamed ``perm[v]``."""
         lab = [None] * self.n
         for v in range(self.n):
-            lab[best_perm[v]] = self.labels[v]
+            lab[perm[v]] = self.labels[v]
         return Pattern.of(
             self.n,
-            {_norm_edge(best_perm[a], best_perm[b]) for a, b in self.edges},
-            {_norm_edge(best_perm[a], best_perm[b]) for a, b in self.anti_edges},
+            {_norm_edge(perm[a], perm[b]) for a, b in self.edges},
+            {_norm_edge(perm[a], perm[b]) for a, b in self.anti_edges},
             lab,
-            {best_perm[v] for v in self.anti_vertices},
+            {perm[v] for v in self.anti_vertices},
         )
+
+    def canonical_key(self) -> tuple:
+        """Canonical (isomorphism-invariant) hashable key."""
+        return self._encoding(self._canonical_perm())
+
+    def canonical(self) -> "Pattern":
+        """This pattern relabeled to its canonical form; isomorphic
+        patterns have equal canonical forms."""
+        return self._relabel(self._canonical_perm())
 
     def is_isomorphic(self, other: "Pattern") -> bool:
         return self.canonical_key() == other.canonical_key()
@@ -303,21 +307,21 @@ def generate_all_vertex_induced(size: int) -> list[Pattern]:
     """[G2] All unique connected unlabeled patterns with ``size`` vertices
     (the motif set: 2 patterns for size 3, 6 for size 4, 21 for size 5)."""
     pairs = list(itertools.combinations(range(size), 2))
-    seen: dict[tuple, Pattern] = {}
+    seen: set[Pattern] = set()
     for r in range(size - 1, len(pairs) + 1):
         for edges in itertools.combinations(pairs, r):
             try:
                 p = Pattern.of(size, edges)
             except ValueError:
                 continue
-            seen.setdefault(p.canonical_key(), p.canonical())
-    return sorted(seen.values(), key=Pattern.canonical_key)
+            seen.add(p.canonical())
+    return sorted(seen, key=Pattern.canonical_key)
 
 
 def generate_all_edge_induced(size: int) -> list[Pattern]:
     """[G1] All unique connected unlabeled patterns with ``size`` edges
     and no isolated vertices (1 pattern for size 2: the wedge)."""
-    seen: dict[tuple, Pattern] = {}
+    seen: set[Pattern] = set()
     for n in range(2, size + 2):
         pairs = list(itertools.combinations(range(n), 2))
         if len(pairs) < size:
@@ -330,8 +334,8 @@ def generate_all_edge_induced(size: int) -> list[Pattern]:
                 p = Pattern.of(n, edges)
             except ValueError:
                 continue
-            seen.setdefault(p.canonical_key(), p.canonical())
-    return sorted(seen.values(), key=Pattern.canonical_key)
+            seen.add(p.canonical())
+    return sorted(seen, key=Pattern.canonical_key)
 
 
 # -- Figure 2 combinators [C1-C2] -----------------------------------------
@@ -339,23 +343,23 @@ def extend_by_edge(patterns: Iterable[Pattern]) -> list[Pattern]:
     """[C1] All unique patterns formed by adding one edge to a pattern —
     either between two existing non-adjacent regular vertices, or to a
     fresh (wildcard-labeled) vertex. Labels and constraints are kept."""
-    seen: dict[tuple, Pattern] = {}
+    seen: set[Pattern] = set()
     for p in patterns:
         regs = p.regular_vertices
         for a, b in itertools.combinations(regs, 2):
             if not p.are_connected(a, b) and not p.are_anti_adjacent(a, b):
                 q = p.add_edge(a, b)
-                seen.setdefault(q.canonical_key(), q.canonical())
+                seen.add(q.canonical())
         for a in regs:
             q = p.add_edge(a, p.n)
-            seen.setdefault(q.canonical_key(), q.canonical())
-    return sorted(seen.values(), key=Pattern.canonical_key)
+            seen.add(q.canonical())
+    return sorted(seen, key=Pattern.canonical_key)
 
 
 def extend_by_vertex(patterns: Iterable[Pattern]) -> list[Pattern]:
     """[C2] All unique patterns formed by adding one fresh vertex
     connected to any non-empty subset of existing regular vertices."""
-    seen: dict[tuple, Pattern] = {}
+    seen: set[Pattern] = set()
     for p in patterns:
         regs = p.regular_vertices
         for r in range(1, len(regs) + 1):
@@ -363,50 +367,57 @@ def extend_by_vertex(patterns: Iterable[Pattern]) -> list[Pattern]:
                 q = p
                 for a in subset:
                     q = q.add_edge(a, p.n)
-                seen.setdefault(q.canonical_key(), q.canonical())
-    return sorted(seen.values(), key=Pattern.canonical_key)
+                seen.add(q.canonical())
+    return sorted(seen, key=Pattern.canonical_key)
 
 
 # -- [L1] -----------------------------------------------------------------
+#: Number of (integer) arguments each pattern-file tag takes.
+_TAG_ARITY = {"e": 2, "ae": 2, "l": 2, "av": 1}
+
+
 def load_patterns(filename: str) -> list[Pattern]:
     """[L1] Load patterns from a text file.
 
     Format: one pattern per block, blocks separated by blank lines.
     Lines: ``e a b`` (edge), ``ae a b`` (anti-edge), ``l v label``
     (label), ``av v`` (mark v as anti-vertex). Vertex count inferred.
+    A malformed line raises ``ValueError`` naming its line number.
     """
     patterns = []
-    blocks: list[list[str]] = [[]]
+    blocks: list[list[tuple[int, str]]] = [[]]
     with open(filename) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 if blocks[-1]:
                     blocks.append([])
             elif not line.startswith("#"):
-                blocks[-1].append(line)
+                blocks[-1].append((lineno, line))
     for block in blocks:
         if not block:
             continue
         edges, anti_edges, labels, avs = [], [], {}, []
         nmax = 0
-        for line in block:
-            tok = line.split()
-            if tok[0] == "e":
-                edges.append((int(tok[1]), int(tok[2])))
-                vids = [int(tok[1]), int(tok[2])]
-            elif tok[0] == "ae":
-                anti_edges.append((int(tok[1]), int(tok[2])))
-                vids = [int(tok[1]), int(tok[2])]
-            elif tok[0] == "l":
-                labels[int(tok[1])] = int(tok[2])
-                vids = [int(tok[1])]
-            elif tok[0] == "av":
-                avs.append(int(tok[1]))
-                vids = [int(tok[1])]
+        for lineno, line in block:
+            tag, *args = line.split()
+            bad = f"bad pattern line {lineno}: {line!r}"
+            if len(args) != _TAG_ARITY.get(tag):
+                raise ValueError(bad)
+            try:
+                a = [int(x) for x in args]
+            except ValueError:
+                raise ValueError(bad) from None
+            if tag == "e":
+                edges.append((a[0], a[1]))
+            elif tag == "ae":
+                anti_edges.append((a[0], a[1]))
+            elif tag == "l":
+                labels[a[0]] = a[1]
+                a = a[:1]  # the label is not a vertex id
             else:
-                raise ValueError(f"bad pattern line: {line!r}")
-            nmax = max([nmax] + [v + 1 for v in vids])
+                avs.append(a[0])
+            nmax = max([nmax] + [v + 1 for v in a])
         lab = [labels.get(v) for v in range(nmax)]
         patterns.append(Pattern.of(nmax, edges, anti_edges, lab, avs))
     return patterns

@@ -1,5 +1,6 @@
 """Unit tests for the first-class Pattern construct (§3.1, Figure 2)."""
 import itertools
+import re
 
 import pytest
 
@@ -272,10 +273,15 @@ class TestLoadPatterns:
         assert ps[1].are_anti_adjacent(0, 2)
         assert ps[2].anti_vertices == frozenset({3})
 
-    def test_bad_line_raises(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line",
+        ["edge 0 1", "e 0", "l 0", "e 0 1 2", "av 0 1", "e 0 x"],
+        ids=["unknown-tag", "e-short", "l-short", "e-long", "av-long", "not-int"],
+    )
+    def test_bad_line_raises(self, tmp_path, line):
         f = tmp_path / "bad.txt"
-        f.write_text("edge 0 1\n")
-        with pytest.raises(ValueError):
+        f.write_text(f"# header\ne 0 1\n{line}\n")
+        with pytest.raises(ValueError, match=f"line 3: {re.escape(repr(line))}"):
             load_patterns(str(f))
 
 

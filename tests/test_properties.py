@@ -9,6 +9,7 @@ import pandas as pd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.mining import _iso_map
 from repro.core.pattern import Pattern, _norm_edge
 from repro.core.plan import break_symmetries, generate_plan, min_connected_vertex_cover
 from repro.graph.gengraph import from_edge_list
@@ -33,6 +34,19 @@ def connected_patterns(draw):
 
 
 @st.composite
+def labeled_patterns(draw):
+    """A random connected pattern with wildcard/int labels and, when the
+    pattern is not a clique, one anti-edge."""
+    p = draw(connected_patterns())
+    labels = draw(st.lists(st.sampled_from([None, 0, 1]), min_size=p.n, max_size=p.n))
+    pairs = [
+        (a, b) for a in range(p.n) for b in range(a + 1, p.n) if (a, b) not in p.edges
+    ]
+    anti = [draw(st.sampled_from(pairs))] if pairs else []
+    return Pattern.of(p.n, p.edges, anti, labels)
+
+
+@st.composite
 def small_graphs(draw):
     """Random connected-ish data graph with <= 14 vertices."""
     n = draw(st.integers(4, 14))
@@ -48,15 +62,42 @@ def small_graphs(draw):
 
 class TestPatternProperties:
     @settings(max_examples=60, deadline=None)
-    @given(connected_patterns(), st.integers(0, 10**6))
+    @given(labeled_patterns(), st.integers(0, 10**6))
     def test_canonical_key_invariant_under_relabeling(self, p, seed):
         rnd = random.Random(seed)
         perm = list(range(p.n))
         rnd.shuffle(perm)
+        labels = [None] * p.n
+        for v in range(p.n):
+            labels[perm[v]] = p.labels[v]
         q = Pattern.of(
-            p.n, {_norm_edge(perm[a], perm[b]) for a, b in p.edges}
+            p.n,
+            {_norm_edge(perm[a], perm[b]) for a, b in p.edges},
+            {_norm_edge(perm[a], perm[b]) for a, b in p.anti_edges},
+            labels,
         )
         assert p.canonical_key() == q.canonical_key()
+        assert p.canonical() == q.canonical()
+        assert q._relabel(_iso_map(q, q.canonical())) == q.canonical()
+
+    @settings(max_examples=60, deadline=None)
+    @given(labeled_patterns())
+    def test_automorphism_count_matches_networkx(self, p):
+        """|Aut(p)| from VF2 self-isomorphisms that keep labels and keep
+        edges and anti-edges apart — independent of ``_maps_onto``."""
+        import networkx as nx
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        g = nx.Graph()
+        g.add_nodes_from((v, {"label": p.labels[v]}) for v in range(p.n))
+        g.add_edges_from(p.edges, kind="edge")
+        g.add_edges_from(p.anti_edges, kind="anti")
+        gm = GraphMatcher(
+            g, g,
+            node_match=lambda a, b: a["label"] == b["label"],
+            edge_match=lambda a, b: a["kind"] == b["kind"],
+        )
+        assert len(p.automorphisms()) == sum(1 for _ in gm.isomorphisms_iter())
 
     @settings(max_examples=60, deadline=None)
     @given(connected_patterns())
