@@ -203,42 +203,3 @@ def count_matches(
         stats.matches_explored += raw
     return n
 
-
-def vertex_orbits(p: Pattern) -> list[tuple[int, ...]]:
-    """Orbits of the regular vertices under ``Aut(p)`` — symmetric
-    positions share an MNI domain."""
-    autos = p.automorphisms()
-    seen: set[int] = set()
-    orbits = []
-    for v in p.regular_vertices:
-        if v in seen:
-            continue
-        orb = tuple(sorted({a[v] for a in autos}))
-        seen.update(orb)
-        orbits.append(orb)
-    return orbits
-
-
-def mni_support(
-    edges: DataFrame,
-    pattern: Pattern,
-    labels: Optional[DataFrame] = None,
-    induced: bool = False,
-) -> int:
-    """Minimum-node-image support (§3.2.1, §5.5).
-
-    The MNI domain of pattern vertex ``u`` is every data vertex mapped
-    to ``u`` by *any* match. Under symmetry breaking only canonical
-    representatives are enumerated, so the true domain of ``u`` is the
-    union of the match columns over u's automorphism orbit (symmetric
-    positions have identical domains). Support = min domain size.
-    """
-    df = match_df(edges, pattern, labels, induced=induced)
-    support = None
-    for orb in vertex_orbits(generate_plan(pattern, induced=induced).pattern):
-        dom = df.select(F.col(_c(orb[0])).alias("v"))
-        for u in orb[1:]:
-            dom = dom.unionByName(df.select(F.col(_c(u)).alias("v")))
-        size = dom.distinct().count()
-        support = size if support is None else min(support, size)
-    return int(support or 0)

@@ -21,10 +21,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 
-from .matcher import count_matches, match_df, vertex_orbits
+from .matcher import count_matches, match_df
 from .pattern import (
     Pattern,
     clique,
@@ -138,11 +137,9 @@ def cc_exceeds(edges: DataFrame, bound: float) -> bool:
 # ---------------------------------------------------------------------------
 @dataclass
 class FsmResult:
-    """Frequent labeled patterns (canonical) with their MNI supports,
-    plus the per-iteration pattern counts for reporting."""
+    """Frequent labeled patterns (canonical) with their MNI supports."""
 
     frequent: dict[Pattern, int]
-    patterns_examined: int
 
     def by_key(self) -> dict[tuple, int]:
         return {p.canonical_key(): s for p, s in self.frequent.items()}
@@ -152,67 +149,52 @@ def _discover_supports(
     edges: DataFrame, labels: DataFrame, pattern: Pattern,
     symmetry_breaking: bool = True,
 ) -> dict[Pattern, int]:
-    """Match a (partially) labeled pattern structure once, then compute
-    the MNI support of every *fully labeled* canonical pattern realized
-    by its matches (dynamic label discovery, §3.2.1).
+    """Match an unlabeled structure without anti-vertices once, then
+    compute the MNI support of every fully labeled canonical pattern
+    realized by its matches (dynamic label discovery, §3.2.1) in one
+    Spark aggregation.
 
-    Single Spark job: matches are joined with the label table per
-    wildcard position, melted to (label-tuple, position, vertex) rows,
-    mapped through a small driver-built (label-tuple, position) →
-    (canonical pattern, orbit) table, and aggregated with
-    ``count_distinct`` per (pattern, orbit). Support = min over orbits
-    (symmetric positions share a domain — see ``mni_support``).
+    ``s`` is the canonical structure and ``Aut(s)`` its automorphisms.
+    Because ``_encoding`` compares edges before labels, the canonical
+    form of ``s`` labeled by a tuple ``t`` is ``s`` labeled by the least
+    of ``t`` permuted by each automorphism: no canonical search per
+    labeling.
+    A match row stands for the |Aut(s)| automorphic copies of one
+    subgraph (with symmetry breaking; without it every copy is already a
+    row); the copies whose labels equal the canonical labeling are
+    exactly the matches of that labeled pattern, so their per-position
+    distinct vertices are its MNI domains — symmetric positions get equal
+    domains without computing orbits. Support = min over positions.
     """
-    df = match_df(edges, pattern, labels=labels, symmetry_breaking=symmetry_breaking)
-    regs = sorted(pattern.regular_vertices)
-    # attach the data label of every position (wildcards discovered here)
-    lab = labels
+    s = pattern.canonical()
+    autos = s.automorphisms()
+    regs = range(s.n)
+    df = match_df(edges, s, labels=labels, symmetry_breaking=symmetry_breaking)
     for u in regs:
-        lu = lab.select(F.col("v").alias(f"v{u}"), F.col("label").alias(f"l{u}"))
+        lu = labels.select(F.col("v").alias(f"v{u}"), F.col("label").alias(f"l{u}"))
         df = df.join(lu, on=f"v{u}", how="inner")
-    lcols = [f"l{u}" for u in regs]
-    tuples = [tuple(r) for r in df.select(*lcols).distinct().collect()]
-    if not tuples:
-        return {}
 
-    # driver-side canonicalization of each realized label tuple; each
-    # canonical pattern gets an int id and its orbits once
-    canon: dict[Pattern, tuple[int, dict[int, int]]] = {}
-    map_rows = []
-    for t in tuples:
-        lt = {u: t[i] for i, u in enumerate(regs)}
-        q = pattern.with_labels(
-            [lt.get(u) if u in regs else None for u in range(pattern.n)]
-        )
-        qc = q.canonical()
-        if qc not in canon:
-            orbits = vertex_orbits(qc)
-            orbit_of = {v: i for i, orb in enumerate(orbits) for v in orb}
-            canon[qc] = (len(canon), orbit_of)
-        cid, orbit_of = canon[qc]
-        perm = _iso_map(q, qc)
-        for i, u in enumerate(regs):
-            map_rows.append(
-                dict(zip(lcols, t), pos=i, canon=cid, orbit=orbit_of[perm[u]])
-            )
-    map_pdf = pd.DataFrame(map_rows)
-    spark = edges.sparkSession
-    map_df = F.broadcast(spark.createDataFrame(map_pdf))
+    def lab(a):  # the labels of the copy whose position u holds v{a[u]}
+        return F.struct(*[F.col(f"l{a[u]}").alias(f"l{u}") for u in regs])
 
-    stack_expr = "stack({}, {}) as (pos, v)".format(
-        len(regs), ", ".join(f"{i}, v{u}" for i, u in enumerate(regs))
-    )
-    stacked = df.select(*lcols, F.expr(stack_expr))
-    per_orbit = (
-        stacked.join(map_df, on=lcols + ["pos"], how="inner")
-        .groupBy("canon", "orbit")
-        .agg(F.count_distinct("v").alias("dom"))
+    labs = [lab(a) for a in autos]
+    canon = F.least(*labs) if len(labs) > 1 else labs[0]
+    kept = autos if symmetry_breaking else [tuple(regs)]
+    copies = F.array(*[
+        F.struct(lab(a).alias("lab"), F.array(*[F.col(f"v{a[u]}") for u in regs]).alias("vs"))
+        for a in kept
+    ])
+    rows = (
+        df.select(canon.alias("c"), F.explode(copies).alias("m"))
+        .where(F.col("m.lab") == F.col("c"))
+        .select("c", F.posexplode("m.vs"))
+        .groupBy("c", "pos")
+        .agg(F.count_distinct("col").alias("dom"))
+        .groupBy("c")
+        .agg(F.min("dom").alias("support"))
         .collect()
     )
-    supports: dict[int, int] = {}
-    for row in per_orbit:
-        supports[row["canon"]] = min(supports.get(row["canon"], 1 << 60), row["dom"])
-    return {qc: supports[cid] for qc, (cid, _) in canon.items() if cid in supports}
+    return {s.with_labels(tuple(r["c"])): r["support"] for r in rows}
 
 
 def _iso_map(p: Pattern, q: Pattern) -> dict[int, int]:
@@ -247,13 +229,15 @@ def fsm(
     """
     from .pattern import extend_by_edge, generate_all_edge_induced
 
+    if labels is None:
+        raise ValueError("fsm needs a label table")
+    if max_edges < 2:
+        raise ValueError(f"max_edges must be >= 2, got {max_edges}")
     structures: list[Pattern] = generate_all_edge_induced(2)
     frequent: dict[Pattern, int] = {}
-    examined = 0
     for ne in range(2, max_edges + 1):
         fertile: list[Pattern] = []  # structures with >= 1 frequent labeling
         for shape in structures:
-            examined += 1
             found = False
             for q, support in _discover_supports(
                 edges, labels, shape, symmetry_breaking=symmetry_breaking
@@ -268,4 +252,4 @@ def fsm(
         structures = [
             s for s in extend_by_edge(fertile) if len(s.edges) == ne + 1
         ]
-    return FsmResult(frequent=frequent, patterns_examined=examined)
+    return FsmResult(frequent=frequent)

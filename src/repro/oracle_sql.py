@@ -111,16 +111,29 @@ def count_sql(
     return f"SELECT count(*) AS cnt FROM ({matches_sql(pattern, induced, symmetry_breaking)})"
 
 
+def _vertex_orbits(p: Pattern) -> list[tuple[int, ...]]:
+    """Orbits of the regular vertices under ``Aut(p)`` — symmetric
+    positions share an MNI domain."""
+    autos = p.automorphisms()
+    seen: set[int] = set()
+    orbits = []
+    for v in p.regular_vertices:
+        if v in seen:
+            continue
+        orb = tuple(sorted({a[v] for a in autos}))
+        seen.update(orb)
+        orbits.append(orb)
+    return orbits
+
+
 def mni_support_sql(pattern: Pattern, induced: bool = False) -> str:
     """SQL producing a single row ``support`` = MNI support: the minimum
     over automorphism orbits of the distinct-vertex count of the orbit's
     unioned match columns."""
-    from .core.matcher import vertex_orbits
-
     plan = generate_plan(pattern, induced=induced)
     base = matches_sql(pattern, induced, plan=plan)
     orbit_counts = []
-    for orb in vertex_orbits(plan.pattern):
+    for orb in _vertex_orbits(plan.pattern):
         union = " UNION ".join(f"SELECT v{u} AS v FROM base" for u in orb)
         orbit_counts.append(f"SELECT count(DISTINCT v) AS c FROM ({union})")
     least = " , ".join(f"({q})" for q in orbit_counts)

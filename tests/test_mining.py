@@ -1,4 +1,6 @@
 """Tests for the mining applications (§3.2, Figure 4)."""
+import collections
+
 import pytest
 from pyspark.sql import functions as F
 
@@ -177,3 +179,45 @@ class TestFSM:
         a = fsm(edges, labels, threshold=8).by_key()
         b = fsm(edges, labels, threshold=8, symmetry_breaking=False).by_key()
         assert a == b
+
+    def test_supports_take_one_search_and_one_action(self, small_lab, monkeypatch):
+        """Canonical labelings come from the structure's automorphisms
+        inside the Spark aggregation: one canonical search per structure,
+        no per-labeling isomorphism map and a single Spark action — and
+        the patterns so built are already canonical."""
+        from pyspark.sql.classic.dataframe import DataFrame
+
+        from repro.core import mining
+
+        graph, edges, labels = small_lab
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Pattern, "canonical", counted("canonical", Pattern.canonical))
+        monkeypatch.setattr(mining, "_iso_map", counted("_iso_map", mining._iso_map))
+        for action in ("collect", "count", "take", "toPandas"):
+            monkeypatch.setattr(
+                DataFrame, action, counted("action", getattr(DataFrame, action))
+            )
+        assert mining._discover_supports(edges, labels, chain(4))
+        assert calls["canonical"] <= 1
+        assert calls["_iso_map"] == 0
+        assert calls["action"] == 1
+        got = fsm(edges, labels, threshold=8, max_edges=3)
+        assert got.frequent
+        assert all(p == p.canonical() for p in got.frequent)
+
+    @pytest.mark.parametrize(
+        "bad", [{"labels": None}, {"max_edges": 1}], ids=["no-labels", "max-edges-1"]
+    )
+    def test_bad_input_raises(self, bad, small_lab):
+        graph, edges, labels = small_lab
+        kwargs = {"labels": labels, "threshold": 8, **bad}
+        with pytest.raises(ValueError):
+            fsm(edges, **kwargs)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.pattern import Pattern, chain, clique, star
 from repro.graph.gengraph import from_edge_list, powerlaw_graph
-from repro.oracle_sql import count_sql, matches_sql, mni_support_sql
+from repro.oracle_sql import _vertex_orbits, count_sql, matches_sql, mni_support_sql
 from repro.reference import RefGraph, ref_count, ref_matches, ref_mni_support
 
 from .conftest import CONSTRAINED_PATTERNS, FIG6_EDGES, PLAIN_PATTERNS
@@ -95,3 +95,9 @@ class TestMniSql:
         p = PLAIN_PATTERNS[name]
         got = _duck_count(mni_support_sql(p), graph.edges_pdf)
         assert got == ref_mni_support(RefGraph(graph.edge_tuples()), p)
+
+    def test_orbits_partition_vertices(self):
+        for p in PLAIN_PATTERNS.values():
+            orbs = _vertex_orbits(p)
+            flat = [v for o in orbs for v in o]
+            assert sorted(flat) == list(p.regular_vertices)
