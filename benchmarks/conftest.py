@@ -1,10 +1,9 @@
 """Benchmark fixtures: session-cached lite datasets.
 
-Each ``bench_*`` file covers one paper table with representative
-(system × app × graph) cells; the complete tables (every cell, plus the
-'—' budget rows) are produced by the ``jobs/`` entrypoints and recorded
-in EXPERIMENTS.md. Benchmarks run one round (``benchmark.pedantic``)
-because a cell is itself a multi-second Spark pipeline.
+``test_cells.py`` times a named subset of the paper-table cells in
+``repro.experiments.CATALOG``; the complete tables (every cell, with
+the '—' budget and 'n/a' skipped cells) are produced by
+``python jobs/tables.py`` and recorded in EXPERIMENTS.md.
 """
 from __future__ import annotations
 
@@ -20,25 +19,16 @@ def sparkb(spark):
     return spark
 
 
-def _mk(name):
-    @pytest.fixture(scope="session")
-    def fx(sparkb):
-        g = datasets.all_datasets()[name]
-        sg = SparkGraph.load(sparkb, g)
-        yield sg
+@pytest.fixture(scope="session")
+def dataset(sparkb):
+    """Dataset name → loaded lite graph, loaded on first use."""
+    loaded: dict[str, SparkGraph] = {}
+
+    def get(name: str) -> SparkGraph:
+        if name not in loaded:
+            loaded[name] = SparkGraph.load(sparkb, datasets.all_datasets()[name])
+        return loaded[name]
+
+    yield get
+    for sg in loaded.values():
         sg.unload()
-
-    return fx
-
-
-mi = _mk("MI")
-pa = _mk("PA")
-pa_labeled = _mk("PA-labeled")
-ok = _mk("OK")
-fr = _mk("FR")
-
-
-def run_once(benchmark, fn):
-    """One timed round — Spark pipelines are seconds-long; repeated
-    rounds would only measure cache warmth."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -40,12 +40,10 @@ def _c(v: int) -> str:
 @dataclass
 class MatchStats:
     """Peregrine-side instrumentation for the Figure 1b/1c comparison:
-    a pattern-aware engine explores only final matches and performs no
-    per-match canonicality or isomorphism computations."""
+    a pattern-aware engine explores only final matches (it has no
+    per-match canonicality or isomorphism computation to count)."""
 
     matches_explored: int = 0
-    canonicality_checks: int = 0
-    isomorphism_checks: int = 0
 
 
 def match_df(

@@ -149,10 +149,6 @@ class ExplorationPlan:
     vertex_order: tuple[int, ...]  # regular vertices in join order
     num_automorphisms: int
 
-    @property
-    def noncore(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vertex_order if v not in self.core)
-
 
 def generate_plan(p: Pattern, induced: bool = False) -> ExplorationPlan:
     """Figure 5: symmetry breaking → vertex cover → matching orders.

@@ -1,8 +1,13 @@
-"""One runner per evaluation table (see DESIGN.md §4 table index).
+"""The paper's evaluation as one catalog of named cells (DESIGN.md §4).
 
-Each ``run_*`` function executes every cell of the corresponding paper
-table on the lite datasets and returns ``(markdown, rows)``; jobs print
-the markdown and EXPERIMENTS.md records paper-vs-measured shape.
+A cell is one (table, app, graph, system) measurement of Figs. 1b/1c,
+Tables 3–6 or Fig. 10. ``CATALOG`` maps each cell's name
+(``table/app/graph/system``) to its :class:`Spec`; a spec without a
+thunk is *skipped*, a cell the reproduction deliberately does not
+attempt. ``run_table`` runs a table's cells, ``render`` lays the results
+out as the table's markdown, ``summarize_table1`` derives Table 1 from
+the Tables 3–5 and Fig. 10 results, and ``record`` does all of it for
+``jobs/tables.py``.
 
 Systems:
   PRG  — the pattern-aware engine (this reproduction's core)
@@ -14,17 +19,26 @@ Systems:
 """
 from __future__ import annotations
 
-from typing import Optional
+import json
+import subprocess
+import sys
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
+from typing import Callable, Optional
 
 from pyspark.sql import SparkSession
 
 from .baseline import bfs, dfs, purpose
+from .baseline.common import BaselineMetrics
 from .core import mining
-from .core.matcher import count_matches
-from .core.pattern import clique
+from .core.matcher import MatchStats, count_matches
+from .core.pattern import clique, generate_all_vertex_induced
 from .graph import datasets
 from .harness import (
     BASELINE_BUDGET,
+    BUDGET,
+    OK,
+    SKIPPED,
     Cell,
     SparkGraph,
     markdown_table,
@@ -33,67 +47,327 @@ from .harness import (
 )
 from .patterns_eval import EVAL_PATTERNS, P2, P7, P8
 
-#: FSM thresholds per labeled graph: scaled-down analogs of the paper's
-#: 2K–4K (Mico) and 20K–23K (Patents) supports.
-FSM_TAUS_MI = (40, 30, 20)
-FSM_TAUS_PA = (40, 30, 20)
+#: Every table ``record`` knows, in an order that runs Table 1 last.
+TABLES = ("fig1", "table2", "table3", "table4", "table5", "table6", "fig10", "table1")
+
+#: FSM thresholds on both labeled graphs: scaled-down analogs of the
+#: paper's 2K–4K (Mico) and 20K–23K (Patents) supports.
+FSM_TAUS = (40, 30, 20)
+
+GRAPHS = ("MI", "PA", "OK", "FR")
+SMALL = ("MI", "PA")
+
+Thunk = Callable[[SparkGraph], object]
 
 
-def _load(spark: SparkSession, names: list[str]) -> dict[str, SparkGraph]:
+@dataclass(frozen=True)
+class Spec:
+    """One cell of a paper table; ``run`` is None for a skipped cell."""
+
+    table: str
+    app: str
+    graph: str  # the table's G column
+    system: str
+    run: Optional[Thunk] = field(default=None, compare=False, repr=False)
+    dataset: str = ""  # the dataset the cell loads, when it is not ``graph``
+
+    @property
+    def name(self) -> str:
+        return "/".join((self.table, self.app, self.graph, self.system))
+
+    @property
+    def data(self) -> str:
+        return self.dataset or self.graph
+
+
+# ---------------------------------------------------------------------------
+# Each app once, per system. Every system returns PRG's answer in PRG's form.
+# ---------------------------------------------------------------------------
+def _named_motifs(k: int, counts: dict) -> dict[str, int]:
+    """A baseline's ``{str(canonical key): count}`` as ``count_motifs``'
+    ``{motif name: count}``."""
+    return {mining.motif_name(p): counts.get(str(p.canonical_key()), 0)
+            for p in generate_all_vertex_induced(k)}
+
+
+def _motifs(k: int) -> dict[str, Thunk]:
+    def bfs_run(mode):
+        return lambda sg: _named_motifs(k, bfs.bfs_count_motifs(
+            sg.edges, sg.graph.edges_pdf, k, mode=mode, budget=BASELINE_BUDGET).result)
+
     return {
-        name: SparkGraph.load(spark, g)
-        for name, g in datasets.all_datasets().items()
-        if name in names
+        "PRG": lambda sg: mining.count_motifs(sg.edges, k),
+        "PRG-U": lambda sg: mining.count_motifs(sg.edges, k, symmetry_breaking=False),
+        "ABQ": bfs_run("abq"),
+        "RS": bfs_run("rs"),
+        "FCL": lambda sg: _named_motifs(k, dfs.dfs_count_motifs(
+            sg.edges, sg.graph.edges_pdf, k, budget=BASELINE_BUDGET).result),
     }
 
 
+def _cliques(k: int) -> dict[str, Thunk]:
+    def bfs_run(mode):
+        return lambda sg: bfs.bfs_count_cliques(
+            sg.edges, sg.graph.edges_pdf, k, mode=mode, budget=BASELINE_BUDGET).result
+
+    impls = {
+        "PRG": lambda sg: mining.count_cliques(sg.edges, k),
+        "ABQ": bfs_run("abq"),
+        "RS": bfs_run("rs"),
+        "FCL": lambda sg: dfs.dfs_count_cliques(
+            sg.edges, sg.graph.edges_pdf, k, budget=BASELINE_BUDGET).result,
+    }
+    if k == 3:
+        impls["GM"] = lambda sg: purpose.gminer_triangle_count(sg.edges).result
+    return impls
+
+
+def _fsm(tau: int) -> dict[str, Thunk]:
+    def prg(symmetry_breaking):
+        return lambda sg: {str(key): s for key, s in mining.fsm(
+            sg.edges, sg.labels, tau, symmetry_breaking=symmetry_breaking,
+        ).by_key().items()}
+
+    # RS has no FSM cell: RStream runs out of memory on FSM (the paper's 'x').
+    return {
+        "PRG": prg(True),
+        "PRG-U": prg(False),
+        "ABQ": lambda sg: bfs.bfs_fsm(
+            sg.edges, sg.graph.edges_pdf, sg.graph.labels_pdf, tau,
+            budget=BASELINE_BUDGET).result,
+        # DFS budgets are per task (the worker-memory analog); a small
+        # per-task budget makes resource exhaustion report quickly
+        # instead of grinding 64 tasks to their full individual budgets.
+        "FCL": lambda sg: dfs.dfs_fsm(
+            sg.edges, sg.graph.edges_pdf, sg.graph.labels_pdf, tau,
+            budget=BASELINE_BUDGET // 64).result,
+    }
+
+
+def _match(pname: str) -> dict[str, Thunk]:
+    pat = EVAL_PATTERNS[pname]
+    # 5-vertex patterns make the pattern-oblivious DFS enumerate all
+    # connected 5-sets — tens of millions even on MI-lite; the small
+    # per-task budget reports the blow-up as '—'
+    budget = BASELINE_BUDGET if pat.n <= 4 else BASELINE_BUDGET // 64
+    impls = {
+        "PRG": lambda sg: count_matches(sg.edges, pat, labels=sg.labels),
+        "FCL": lambda sg: dfs.dfs_match_pattern(
+            sg.edges, sg.graph.edges_pdf, pat,
+            labels_pdf=sg.graph.labels_pdf, budget=budget).result,
+    }
+    if pat is P2:  # G-Miner's matching app is specific to labeled p2
+        impls["GM"] = lambda sg: purpose.gminer_match_labeled_triangle(
+            sg.edges, sg.labels, P2).result
+    return impls
+
+
+def _profile(m: BaselineMetrics) -> dict:
+    result = sum(m.result.values()) if isinstance(m.result, dict) else m.result
+    return dict(explored=m.explored, canonicality=m.canonicality,
+                isomorphism=m.isomorphism, result=result)
+
+
+def _profiles(k: int, motifs: bool) -> dict[str, Thunk]:
+    """Figure 1b (4-cliques) / 1c (3-motifs) counters, run to completion
+    (``budget=None``): the counts are the experiment."""
+    patterns = list(generate_all_vertex_induced(k)) if motifs else [clique(k)]
+
+    def prg(sg):
+        stats = MatchStats()
+        n = sum(count_matches(sg.edges, p, induced=motifs, stats=stats)
+                for p in patterns)
+        # a pattern-aware plan runs no per-match canonicality or
+        # isomorphism computation
+        return dict(explored=stats.matches_explored, canonicality=0,
+                    isomorphism=0, result=n)
+
+    def bfs_run(mode):
+        fn = bfs.bfs_count_motifs if motifs else bfs.bfs_count_cliques
+        return lambda sg: _profile(fn(sg.edges, sg.graph.edges_pdf, k, mode=mode, budget=None))
+
+    fcl = dfs.dfs_count_motifs if motifs else dfs.dfs_count_cliques
+    return {
+        "PRG": prg,
+        "ABQ": bfs_run("abq"),
+        "RS": bfs_run("rs"),
+        "FCL": lambda sg: _profile(fcl(sg.edges, sg.graph.edges_pdf, k, budget=None)),
+    }
+
+
+_CONSTRAINED = {
+    "14-Clique exists": lambda sg: mining.exists_clique(sg.edges, 14),
+    "Anti-Vertex p7": lambda sg: count_matches(sg.edges, P7),
+    "Anti-Edge p8": lambda sg: count_matches(sg.edges, P8),
+}
+
+
 # ---------------------------------------------------------------------------
-# Figure 1b/1c — profiling tables (matches explored / canonicality /
-# isomorphism computations, vs result size)
+# The catalog
 # ---------------------------------------------------------------------------
-def run_fig1_profile(spark: SparkSession) -> tuple[str, list[dict]]:
-    sg = SparkGraph.load(spark, datasets.patents_lite())
-    rows: list[dict] = []
+def _catalog() -> dict[str, Spec]:
+    specs: list[Spec] = []
 
-    def add(app, system, explored, canon, iso, result):
-        ratio = f"{explored / max(result, 1):.1f}x" if explored else "1.0x"
-        rows.append(
-            dict(app=app, system=system, explored=explored, ratio=ratio,
-                 canonicality=canon, isomorphism=iso, result=result)
-        )
+    def row(table, app, graph, impls, systems, dataset=""):
+        for system in systems:
+            run = impls.get(system)
+            if system in ("ABQ", "RS", "FCL") and graph in ("OK", "FR"):
+                # the paper's OOM / out-of-disk cells: the budget would be
+                # exhausted at once, so only PRG is attempted on OK/FR
+                run = None
+            specs.append(Spec(table, app, graph, system, run, dataset))
 
-    # 4-clique counting (Figure 1b) — profiling runs to completion
-    # (budget=None), the counts ARE the experiment
-    n4 = count_matches(sg.edges, clique(4))
-    add("4-Clique", "PRG", n4, 0, 0, n4)
-    m = bfs.bfs_count_cliques(sg.edges, sg.graph.edges_pdf, 4, mode="abq", budget=None)
-    add("4-Clique", "ABQ", m.explored, m.canonicality, m.isomorphism, m.result)
-    m = bfs.bfs_count_cliques(sg.edges, sg.graph.edges_pdf, 4, mode="rs", budget=None)
-    add("4-Clique", "RS", m.explored, m.canonicality, m.isomorphism, m.result)
-    m = dfs.dfs_count_cliques(sg.edges, sg.graph.edges_pdf, 4, budget=None)
-    add("4-Clique", "FCL", m.explored, m.canonicality, m.isomorphism, m.result)
+    # Figure 1b/1c — profiling counts on Patents(-lite)
+    for app, impls in (("4-Clique", _profiles(4, motifs=False)),
+                       ("3-Motif", _profiles(3, motifs=True))):
+        row("fig1", app, "PA", impls, ("PRG", "ABQ", "RS", "FCL"))
 
-    # 3-motif counting (Figure 1c)
-    prg = mining.count_motifs(sg.edges, 3)
-    total3 = sum(prg.values())
-    add("3-Motif", "PRG", total3, 0, 0, total3)
-    m = bfs.bfs_count_motifs(sg.edges, sg.graph.edges_pdf, 3, mode="abq", budget=None)
-    add("3-Motif", "ABQ", m.explored, m.canonicality, m.isomorphism,
-        sum(m.result.values()))
-    m = bfs.bfs_count_motifs(sg.edges, sg.graph.edges_pdf, 3, mode="rs", budget=None)
-    add("3-Motif", "RS", m.explored, m.canonicality, m.isomorphism,
-        sum(m.result.values()))
-    m = dfs.dfs_count_motifs(sg.edges, sg.graph.edges_pdf, 3, budget=None)
-    add("3-Motif", "FCL", m.explored, m.canonicality, m.isomorphism,
-        sum(m.result.values()))
-    sg.unload()
+    # Tables 3 and 4 — PRG vs breadth-first (ABQ, RS) and depth-first (FCL)
+    for table, systems in (("table3", ("PRG", "ABQ", "RS")), ("table4", ("PRG", "FCL"))):
+        for k in (3, 4):
+            for g in GRAPHS:
+                row(table, f"{k}-Motifs", g, _motifs(k), systems)
+        for g in ("MI", "PA-labeled"):
+            for tau in FSM_TAUS:
+                row(table, f"{tau}-FSM", g, _fsm(tau), systems)
+        for k in (3, 4, 5):
+            for g in GRAPHS:
+                row(table, f"{k}-Cliques", g, _cliques(k), systems)
+    # Table 4 pattern matching: p6 on MI/PA only (as in the paper); the
+    # labeled p2 on the labeled graphs, PA-labeled standing in for PA
+    for pname in ("p1", "p2", "p3", "p4", "p5", "p6"):
+        for g in SMALL if pname in ("p2", "p6") else GRAPHS:
+            row("table4", f"Match {pname}", g, _match(pname), ("PRG", "FCL"),
+                dataset="PA-labeled" if pname == "p2" and g == "PA" else "")
 
-    md = markdown_table(
-        ["App", "System", "Total matches", "vs result", "Canonicality", "Isomorphism", "Result"],
-        [[r["app"], r["system"], r["explored"], r["ratio"], r["canonicality"],
-          r["isomorphism"], r["result"]] for r in rows],
-    )
-    return md, rows
+    # Table 5 — PRG vs purpose-built G-Miner
+    for g in GRAPHS:
+        row("table5", "3-Cliques", g, _cliques(3), ("PRG", "GM"))
+    for g in SMALL:
+        row("table5", "Match p2", g, _match("p2"), ("PRG", "GM"),
+            dataset="PA-labeled" if g == "PA" else "")
+
+    # Table 6 — constrained mining
+    for g in GRAPHS:
+        for app, fn in _CONSTRAINED.items():
+            row("table6", app, g, {"PRG": fn}, ("PRG",))
+
+    # Figure 10 — symmetry breaking on/off: 4-motifs (MI, PA and the
+    # dense OK, where the redundant |Aut| copies dominate), low-support FSM
+    for g in ("MI", "PA", "OK"):
+        row("fig10", "4-Motifs", g, _motifs(4), ("PRG", "PRG-U"))
+    for g in ("MI", "PA-labeled"):
+        row("fig10", f"{FSM_TAUS[-1]}-FSM", g, _fsm(FSM_TAUS[-1]), ("PRG", "PRG-U"))
+
+    return {s.name: s for s in specs}
+
+
+CATALOG: dict[str, Spec] = _catalog()
+
+
+def specs(table: str) -> list[Spec]:
+    return [s for s in CATALOG.values() if s.table == table]
+
+
+def _peer(s: Spec, system: str) -> str:
+    return "/".join((s.table, s.app, s.graph, system))
+
+
+# ---------------------------------------------------------------------------
+# Runner
+# ---------------------------------------------------------------------------
+def run_table(
+    spark: SparkSession, table: str,
+    graphs: Optional[dict[str, SparkGraph]] = None,
+    path: Optional[Path] = None,
+) -> dict[str, Cell]:
+    """Run every cell of ``table`` on the lite datasets, or on ``graphs``
+    (dataset name → loaded graph) when given. Returns ``{name: Cell}``;
+    skipped cells are not run. With ``path``, the cells so far are saved
+    there after each one, so a run cut short keeps what finished."""
+    loaded = {}
+    if graphs is None:
+        need = {s.data for s in specs(table) if s.run is not None}
+        loaded = graphs = {n: SparkGraph.load(spark, g)
+                           for n, g in datasets.all_datasets().items() if n in need}
+    commit = engine_commit() if path else ""
+    results = {}
+    for s in specs(table):
+        if s.run is None:
+            results[s.name] = Cell(status=SKIPPED)
+        else:
+            results[s.name] = c = run_cell(lambda: s.run(graphs[s.data]))
+            print(f"[cell] {s.name}: {c.fmt_time()}", file=sys.stderr, flush=True)
+        if path:
+            save_cells(path, commit, results)
+    for sg in loaded.values():
+        sg.unload()
+    return results
+
+
+def disagreements(results: dict[str, Cell]) -> list[str]:
+    """Cells whose answer differs from PRG's in the same row: the systems
+    differ only in the work they do."""
+    def answer(s, c):
+        return c.value["result"] if s.table == "fig1" else c.value
+
+    bad = []
+    for name, c in results.items():
+        s = CATALOG[name]
+        prg = results.get(_peer(s, "PRG"))
+        if c.status == OK and prg is not None and prg.status == OK \
+                and answer(s, c) != answer(s, prg):
+            bad.append(name)
+    return bad
+
+
+# ---------------------------------------------------------------------------
+# Renderer: each table's markdown columns
+# ---------------------------------------------------------------------------
+def _vs(*others: str):
+    """'App | G | PRG (s) | X (s) … | X/PRG …', one row per (app, graph)."""
+    headers = ["App", "G", "PRG (s)", *[f"{o} (s)" for o in others],
+               *[f"{o}/PRG" for o in others]]
+
+    def fmt(key, c):
+        return [*key, c["PRG"].fmt_time(), *[c[o].fmt_time() for o in others],
+                *[speedup(c["PRG"], c[o]) for o in others]]
+
+    return headers, lambda s: (s.app, s.graph), lambda s: s.system, fmt
+
+
+def _fig1_row(key, c):
+    v = c[""].value
+    ratio = f"{v['explored'] / max(v['result'], 1):.1f}x" if v["explored"] else "1.0x"
+    return [*key, v["explored"], ratio, v["canonicality"], v["isomorphism"], v["result"]]
+
+
+def _table6_row(key, c):
+    return [*key, *[x for app in _CONSTRAINED
+                    for x in (c[app].fmt_time(), c[app].fmt_value())]]
+
+
+#: table → (headers, row key, column key, row formatter)
+_LAYOUTS = {
+    "fig1": (["App", "System", "Total matches", "vs result", "Canonicality",
+              "Isomorphism", "Result"],
+             lambda s: (s.app, s.system), lambda s: "", _fig1_row),
+    "table3": _vs("ABQ", "RS"),
+    "table4": _vs("FCL"),
+    "table5": _vs("GM"),
+    "table6": (["G", "14-Clique exists (s)", "found?", "Anti-Vertex p7 (s)",
+                "p7 count", "Anti-Edge p8 (s)", "p8 count"],
+               lambda s: (s.graph,), lambda s: s.app, _table6_row),
+    "fig10": _vs("PRG-U"),
+}
+
+
+def render(table: str, results: dict[str, Cell]) -> str:
+    headers, row_key, col_key, fmt = _LAYOUTS[table]
+    rows: dict[tuple, dict[str, Cell]] = {}
+    for s in specs(table):
+        rows.setdefault(row_key(s), {})[col_key(s)] = results[s.name]
+    return markdown_table(headers, [fmt(k, c) for k, c in rows.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -114,266 +388,38 @@ def run_table2(spark: Optional[SparkSession] = None) -> tuple[str, list[dict]]:
 
 
 # ---------------------------------------------------------------------------
-# Table 3 — PRG vs breadth-first systems (Arabesque, RStream)
+# Table 1 — performance summary over the Tables 3–5 and Fig. 10 cells
 # ---------------------------------------------------------------------------
-def _fsm_workloads() -> list[tuple[str, str, int]]:
-    return [(f"{tau}-FSM", g, tau)
-            for g, taus in (("MI", FSM_TAUS_MI), ("PA-labeled", FSM_TAUS_PA))
-            for tau in taus]
+#: (row label, source table, system compared with PRG)
+TABLE1_ROWS = (
+    ("Arabesque (ABQ)", "table3", "ABQ"),
+    ("RStream (RS)", "table3", "RS"),
+    ("Fractal (FCL)", "table4", "FCL"),
+    ("G-Miner (GM)", "table5", "GM"),
+    ("PRG-U (no sym. breaking)", "fig10", "PRG-U"),
+)
 
 
-def run_table3(spark: SparkSession, quick: bool = False) -> tuple[str, list[dict]]:
-    """Motifs, FSM and cliques on PRG / ABQ / RS. Baselines run on the
-    labeled/unlabeled MI and PA graphs (the paper's OK/FR baseline cells
-    are out-of-memory/disk; here the budget plays that role and large
-    graphs exhaust it immediately, so they are only attempted for PRG)."""
-    graphs = _load(spark, ["MI", "PA", "PA-labeled", "OK", "FR"])
-    rows: list[dict] = []
-    small = ["MI", "PA"]
-    prg_graphs = small if quick else ["MI", "PA", "OK", "FR"]
-
-    def cell_row(app, gname, prg, abq, rs):
-        rows.append(dict(app=app, g=gname, prg=prg, abq=abq, rs=rs))
-
-    for k, app in ((3, "3-Motifs"), (4, "4-Motifs")):
-        for gname in prg_graphs:
-            sg = graphs[gname]
-            prg = run_cell(lambda: mining.count_motifs(sg.edges, k))
-            if gname in small:
-                abq = run_cell(lambda: bfs.bfs_count_motifs(
-                    sg.edges, sg.graph.edges_pdf, k, mode="abq",
-                    budget=BASELINE_BUDGET).result)
-                rs = run_cell(lambda: bfs.bfs_count_motifs(
-                    sg.edges, sg.graph.edges_pdf, k, mode="rs",
-                    budget=BASELINE_BUDGET).result)
-            else:
-                abq = rs = Cell(seconds=None)
-            cell_row(app, gname, prg, abq, rs)
-    for app, gname, tau in _fsm_workloads():
-        sg = graphs[gname]
-        prg = run_cell(lambda: mining.fsm(sg.edges, sg.labels, tau))
-        abq = run_cell(lambda: bfs.bfs_fsm(
-            sg.edges, sg.graph.edges_pdf, sg.graph.labels_pdf, tau,
-            budget=BASELINE_BUDGET).result)
-        cell_row(app, gname, prg, abq, Cell(seconds=None))  # RS OOMs on FSM (paper: 'x')
-    for k in (3, 4, 5):
-        for gname in prg_graphs:
-            sg = graphs[gname]
-            prg = run_cell(lambda: mining.count_cliques(sg.edges, k))
-            if gname in small:
-                abq = run_cell(lambda: bfs.bfs_count_cliques(
-                    sg.edges, sg.graph.edges_pdf, k, mode="abq",
-                    budget=BASELINE_BUDGET).result)
-                rs = run_cell(lambda: bfs.bfs_count_cliques(
-                    sg.edges, sg.graph.edges_pdf, k, mode="rs",
-                    budget=BASELINE_BUDGET).result)
-            else:
-                abq = rs = Cell(seconds=None)
-            cell_row(f"{k}-Cliques", gname, prg, abq, rs)
-    for sg in graphs.values():
-        sg.unload()
-    md = markdown_table(
-        ["App", "G", "PRG (s)", "ABQ (s)", "RS (s)", "ABQ/PRG", "RS/PRG"],
-        [[r["app"], r["g"], r["prg"].fmt_time(), r["abq"].fmt_time(),
-          r["rs"].fmt_time(), speedup(r["prg"], r["abq"]),
-          speedup(r["prg"], r["rs"])] for r in rows],
-    )
-    return md, rows
-
-
-# ---------------------------------------------------------------------------
-# Table 4 — PRG vs depth-first (Fractal), incl. pattern matching p1..p6
-# ---------------------------------------------------------------------------
-def run_table4(spark: SparkSession, quick: bool = False) -> tuple[str, list[dict]]:
-    graphs = _load(spark, ["MI", "PA", "PA-labeled", "OK", "FR"])
-    rows: list[dict] = []
-    small = ["MI", "PA"]
-    prg_graphs = small if quick else ["MI", "PA", "OK", "FR"]
-
-    def add(app, gname, prg, fcl):
-        rows.append(dict(app=app, g=gname, prg=prg, fcl=fcl))
-
-    for k, app in ((3, "3-Motifs"), (4, "4-Motifs")):
-        for gname in prg_graphs:
-            sg = graphs[gname]
-            prg = run_cell(lambda: mining.count_motifs(sg.edges, k))
-            fcl = (run_cell(lambda: dfs.dfs_count_motifs(
-                sg.edges, sg.graph.edges_pdf, k, budget=BASELINE_BUDGET).result)
-                if gname in small else Cell(seconds=None))
-            add(app, gname, prg, fcl)
-    # FCL FSM / large-pattern cells: DFS budgets are per task (the
-    # worker-memory analog); a small per-task budget makes resource
-    # exhaustion report quickly instead of grinding 64 tasks to their
-    # full individual budgets.
-    fsm_budget = BASELINE_BUDGET // 64
-    for app, gname, tau in _fsm_workloads():
-        sg = graphs[gname]
-        prg = run_cell(lambda: mining.fsm(sg.edges, sg.labels, tau))
-        fcl = run_cell(lambda: dfs.dfs_fsm(
-            sg.edges, sg.graph.edges_pdf, sg.graph.labels_pdf, tau,
-            budget=fsm_budget).result)
-        add(app, gname, prg, fcl)
-    for k in (3, 4, 5):
-        for gname in prg_graphs:
-            sg = graphs[gname]
-            prg = run_cell(lambda: mining.count_cliques(sg.edges, k))
-            fcl = (run_cell(lambda: dfs.dfs_count_cliques(
-                sg.edges, sg.graph.edges_pdf, k, budget=BASELINE_BUDGET).result)
-                if gname in small else Cell(seconds=None))
-            add(f"{k}-Cliques", gname, prg, fcl)
-    for pname in ("p1", "p2", "p3", "p4", "p5", "p6"):
-        pat = EVAL_PATTERNS[pname]
-        match_graphs = small if pname == "p6" else prg_graphs  # paper: p6 on MI/PA only
-        for gname in match_graphs:
-            # p2 is labeled: use the labeled graphs (MI is labeled; for
-            # PA/OK/FR the paper adds synthetic labels — our PA-labeled
-            # stands in; unlabeled graphs skip p2)
-            sg = graphs["PA-labeled" if (pname == "p2" and gname == "PA") else gname]
-            if pat.labels.count(None) < pat.n and sg.labels is None:
-                continue
-            prg = run_cell(lambda: count_matches(
-                sg.edges, pat, labels=sg.labels))
-            # 5-vertex patterns make the pattern-oblivious DFS enumerate
-            # all connected 5-sets — tens of millions even on MI-lite;
-            # the small per-task budget reports the blow-up as '—'
-            match_budget = BASELINE_BUDGET if pat.n <= 4 else BASELINE_BUDGET // 64
-            fcl = (run_cell(lambda: dfs.dfs_match_pattern(
-                sg.edges, sg.graph.edges_pdf, pat,
-                labels_pdf=sg.graph.labels_pdf, budget=match_budget).result)
-                if gname in small else Cell(seconds=None))
-            add(f"Match {pname}", gname, prg, fcl)
-    for sg in graphs.values():
-        sg.unload()
-    md = markdown_table(
-        ["App", "G", "PRG (s)", "FCL (s)", "FCL/PRG"],
-        [[r["app"], r["g"], r["prg"].fmt_time(), r["fcl"].fmt_time(),
-          speedup(r["prg"], r["fcl"])] for r in rows],
-    )
-    return md, rows
-
-
-# ---------------------------------------------------------------------------
-# Table 5 — PRG vs purpose-built (G-Miner): 3-cliques + labeled p2
-# ---------------------------------------------------------------------------
-def run_table5(spark: SparkSession) -> tuple[str, list[dict]]:
-    graphs = _load(spark, ["MI", "PA", "PA-labeled", "OK", "FR"])
-    rows: list[dict] = []
-    for gname in ("MI", "PA", "OK", "FR"):
-        sg = graphs[gname]
-        prg = run_cell(lambda: mining.count_cliques(sg.edges, 3))
-        gm = run_cell(lambda: purpose.gminer_triangle_count(sg.edges).result)
-        rows.append(dict(app="3-Cliques", g=gname, prg=prg, gm=gm))
-    for gname in ("MI", "PA"):
-        sg = graphs["PA-labeled" if gname == "PA" else gname]
-        prg = run_cell(lambda: count_matches(sg.edges, P2, labels=sg.labels))
-        gm = run_cell(lambda: purpose.gminer_match_labeled_triangle(
-            sg.edges, sg.labels, P2).result)
-        rows.append(dict(app="Match p2", g=gname, prg=prg, gm=gm))
-    for sg in graphs.values():
-        sg.unload()
-    md = markdown_table(
-        ["App", "G", "PRG (s)", "GM (s)", "GM/PRG"],
-        [[r["app"], r["g"], r["prg"].fmt_time(), r["gm"].fmt_time(),
-          speedup(r["prg"], r["gm"])] for r in rows],
-    )
-    return md, rows
-
-
-# ---------------------------------------------------------------------------
-# Table 6 — constrained mining: anti-vertex p7, anti-edge p8, 14-clique
-# existence
-# ---------------------------------------------------------------------------
-def run_table6(spark: SparkSession) -> tuple[str, list[dict]]:
-    graphs = _load(spark, ["MI", "PA", "OK", "FR"])
-    rows: list[dict] = []
-    for gname in ("MI", "PA", "OK", "FR"):
-        sg = graphs[gname]
-        ex = run_cell(lambda: mining.exists_clique(sg.edges, 14))
-        av = run_cell(lambda: count_matches(sg.edges, P7))
-        ae = run_cell(lambda: count_matches(sg.edges, P8))
-        rows.append(dict(g=gname, exist=ex, p7=av, p8=ae))
-    for sg in graphs.values():
-        sg.unload()
-    md = markdown_table(
-        ["G", "14-Clique exists (s)", "found?", "Anti-Vertex p7 (s)", "p7 count",
-         "Anti-Edge p8 (s)", "p8 count"],
-        [[r["g"], r["exist"].fmt_time(), r["exist"].fmt_value(),
-          r["p7"].fmt_time(), r["p7"].fmt_value(),
-          r["p8"].fmt_time(), r["p8"].fmt_value()] for r in rows],
-    )
-    return md, rows
-
-
-# ---------------------------------------------------------------------------
-# Figure 10 — symmetry breaking on/off (PRG vs PRG-U)
-# ---------------------------------------------------------------------------
-def run_fig10(spark: SparkSession) -> tuple[str, list[dict]]:
-    """PRG vs PRG-U on 4-motifs (MI, PA and the dense OK, where the
-    redundant |Aut| copies dominate) and on low-support FSM."""
-    graphs = _load(spark, ["MI", "PA", "PA-labeled", "OK"])
-    rows: list[dict] = []
-    for gname in ("MI", "PA", "OK"):
-        sg = graphs[gname]
-        prg = run_cell(lambda: mining.count_motifs(sg.edges, 4))
-        prgu = run_cell(lambda: mining.count_motifs(
-            sg.edges, 4, symmetry_breaking=False))
-        assert prg.value == prgu.value, "PRG-U must match PRG results"
-        rows.append(dict(app="4-Motifs", g=gname, prg=prg, prgu=prgu))
-    for gname, tau in (("MI", FSM_TAUS_MI[-1]), ("PA-labeled", FSM_TAUS_PA[-1])):
-        sg = graphs[gname]
-        prg = run_cell(lambda: mining.fsm(sg.edges, sg.labels, tau).by_key())
-        prgu = run_cell(lambda: mining.fsm(
-            sg.edges, sg.labels, tau, symmetry_breaking=False).by_key())
-        assert prg.value == prgu.value, "PRG-U must match PRG results"
-        rows.append(dict(app=f"{tau}-FSM", g=gname, prg=prg, prgu=prgu))
-    for sg in graphs.values():
-        sg.unload()
-    md = markdown_table(
-        ["App", "G", "PRG (s)", "PRG-U (s)", "PRG-U/PRG"],
-        [[r["app"], r["g"], r["prg"].fmt_time(), r["prgu"].fmt_time(),
-          speedup(r["prg"], r["prgu"])] for r in rows],
-    )
-    return md, rows
-
-
-# ---------------------------------------------------------------------------
-# Table 1 — performance summary, derived from Tables 3–5 + Fig 10 rows
-# ---------------------------------------------------------------------------
-def summarize_table1(
-    t3_rows: list[dict], t4_rows: list[dict], t5_rows: list[dict],
-    f10_rows: list[dict],
-) -> tuple[str, list[dict]]:
-    def ratios(rows, key):
-        out = []
-        for r in rows:
-            c, prg = r.get(key), r["prg"]
-            if c is not None and c.seconds is not None and prg.seconds:
-                out.append(c.seconds / prg.seconds)
-        return out
-
-    def fails(rows, key):
-        return sum(
-            1 for r in rows
-            if r.get(key) is not None and r[key].seconds is None
-            and r["prg"].seconds is not None
-        )
-
+def summarize_table1(results: dict[str, Cell]) -> tuple[str, list[dict]]:
+    """Speedup range over the cells both systems finished, and the cells
+    that ran out of budget where PRG finished. Skipped cells count in
+    neither."""
     summary = []
-    for system, rows, key in (
-        ("Arabesque (ABQ)", t3_rows, "abq"),
-        ("RStream (RS)", t3_rows, "rs"),
-        ("Fractal (FCL)", t4_rows, "fcl"),
-        ("G-Miner (GM)", t5_rows, "gm"),
-        ("PRG-U (no sym. breaking)", f10_rows, "prgu"),
-    ):
-        rs = ratios(rows, key)
-        summary.append(
-            dict(system=system,
-                 min=f"{min(rs):.1f}x" if rs else "—",
-                 max=f"{max(rs):.1f}x" if rs else "—",
-                 cells=len(rs),
-                 failed=fails(rows, key))
-        )
+    for label, table, system in TABLE1_ROWS:
+        ratios, failed = [], 0
+        for s in specs(table):
+            c, prg = results.get(s.name), results.get(_peer(s, "PRG"))
+            if s.system != system or c is None or prg is None or prg.status != OK:
+                continue
+            if c.status == OK and prg.seconds:
+                ratios.append(c.seconds / prg.seconds)
+            failed += c.status == BUDGET
+        summary.append(dict(
+            system=label,
+            min=f"{min(ratios):.1f}x" if ratios else "—",
+            max=f"{max(ratios):.1f}x" if ratios else "—",
+            cells=len(ratios), failed=failed,
+        ))
     md = markdown_table(
         ["vs system", "min speedup", "max speedup", "comparable cells",
          "cells failed (budget) where PRG succeeded"],
@@ -381,3 +427,79 @@ def summarize_table1(
          for s in summary],
     )
     return md, summary
+
+
+# ---------------------------------------------------------------------------
+# Results files
+# ---------------------------------------------------------------------------
+#: The code a cell measures; the harness and this catalog only drive it.
+ENGINE = ("src/repro/core", "src/repro/baseline", "src/repro/graph",
+          "src/repro/patterns_eval.py")
+
+
+def engine_commit() -> str:
+    """The last commit that changed the engine, with '+dirty' when the
+    engine's files differ from it."""
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(Path(__file__).parent), *args],
+            capture_output=True, text=True,
+        ).stdout.strip()
+
+    root = git("rev-parse", "--show-toplevel")
+    paths = [str(Path(root) / p) for p in ENGINE]
+    commit = git("log", "-1", "--format=%h", "--", *paths) or "unknown"
+    return commit + ("+dirty" if git("status", "--porcelain", "--", *paths) else "")
+
+
+def _save(path: Path, commit: str, **payload) -> None:
+    path.write_text(json.dumps({"engine_commit": commit, **payload}, indent=1))
+
+
+def save_cells(path: Path, commit: str, results: dict[str, Cell]) -> None:
+    def jsonable(v):
+        try:
+            json.dumps(v)
+            return v
+        except TypeError:  # e.g. dicts keyed by tuples
+            return repr(v)
+
+    _save(path, commit, cells={
+        n: {**asdict(c), "value": jsonable(c.value)} for n, c in results.items()})
+
+
+def load_cells(path: Path) -> tuple[str, dict[str, Cell]]:
+    data = json.loads(path.read_text())
+    return data["engine_commit"], {n: Cell(**c) for n, c in data["cells"].items()}
+
+
+def _table1(out: Path) -> tuple[str, str, list[dict]]:
+    commits, results = {}, {}
+    for _, t, _ in TABLE1_ROWS:
+        commits[t], cells = load_cells(out / f"{t}.json")
+        results.update(cells)
+    if len(set(commits.values())) != 1 or any(c.endswith("+dirty") for c in commits.values()):
+        raise SystemExit(f"Table 1 needs its sources from one engine commit: {commits}")
+    md, rows = summarize_table1(results)
+    return md, commits["table3"], rows
+
+
+def record(spark: SparkSession, tables: list[str], out: Path) -> None:
+    """Run each table in ``tables`` (names from ``TABLES``), write
+    ``out/<table>.json`` with the engine commit and print its markdown.
+    Table 1 is derived from the saved Tables 3–5 and Fig. 10 results."""
+    out.mkdir(exist_ok=True)
+    for t in tables:
+        path, bad = out / f"{t}.json", []
+        if t == "table1":
+            md, commit, rows = _table1(out)
+            _save(path, commit, rows=rows)
+        elif t == "table2":
+            md, rows = run_table2()
+            _save(path, engine_commit(), rows=rows)
+        else:
+            results = run_table(spark, t, path=path)
+            md, bad = render(t, results), disagreements(results)
+        print(f"## {t}\n\n{md}\n", flush=True)
+        if bad:
+            raise SystemExit(f"{t}: answers differ from PRG's in {bad}")

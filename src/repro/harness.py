@@ -1,10 +1,8 @@
-"""Experiment harness: runs (system × application × graph) cells and
-renders the paper's evaluation tables.
+"""Experiment harness: times table cells and renders markdown tables.
 
-Each cell is a thunk; ``run_cell`` times it and maps resource
-exhaustion (:class:`BudgetExceeded`) to the paper's '—' marker. Table
-builders return (markdown string, raw rows) so the jobs can print them
-and EXPERIMENTS.md can be assembled from one run.
+A cell is a thunk; ``run_cell`` times it and maps resource exhaustion
+(:class:`BudgetExceeded`) to the paper's '—' marker. A cell the
+reproduction does not attempt is *skipped* and rendered 'n/a'.
 """
 from __future__ import annotations
 
@@ -21,19 +19,25 @@ from .graph.gengraph import Graph
 #: laptop-scale analog of the paper's OOM / disk / 5-hour limits.
 BASELINE_BUDGET = 2_000_000
 
+OK, BUDGET, SKIPPED = "ok", "budget", "skipped"
+#: How a cell without a time renders: '—' ran out of budget (the
+#: paper's OOM / timeout), 'n/a' was never attempted.
+MARKERS = {BUDGET: "—", SKIPPED: "n/a"}
+
 
 @dataclass
 class Cell:
-    """One measured table cell."""
+    """The outcome of one table cell."""
 
-    seconds: Optional[float]  # None = resource-exhausted ('—')
+    seconds: Optional[float] = None
     value: object = None
+    status: str = OK  # OK, BUDGET or SKIPPED
 
     def fmt_time(self) -> str:
-        return "—" if self.seconds is None else f"{self.seconds:.2f}"
+        return MARKERS.get(self.status) or f"{self.seconds:.2f}"
 
     def fmt_value(self) -> str:
-        return "—" if self.seconds is None else str(self.value)
+        return MARKERS.get(self.status) or str(self.value)
 
 
 def run_cell(fn: Callable[[], object]) -> Cell:
@@ -42,7 +46,7 @@ def run_cell(fn: Callable[[], object]) -> Cell:
     try:
         value = fn()
     except BudgetExceeded:
-        return Cell(seconds=None)
+        return Cell(status=BUDGET)
     return Cell(seconds=time.perf_counter() - t0, value=value)
 
 
@@ -80,40 +84,11 @@ def markdown_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(out)
 
 
-def serialize_rows(rows: list[dict]) -> list[dict]:
-    """JSON-safe copy of table rows (Cells become {'seconds', 'value'})."""
-    out = []
-    for r in rows:
-        d = {}
-        for k, v in r.items():
-            d[k] = (
-                {"seconds": v.seconds, "value": repr(v.value)}
-                if isinstance(v, Cell)
-                else v
-            )
-        out.append(d)
-    return out
-
-
-def deserialize_rows(rows: list[dict]) -> list[dict]:
-    """Inverse of :func:`serialize_rows` (values come back as reprs —
-    enough for the Table 1 speedup summary, which only needs seconds)."""
-    out = []
-    for r in rows:
-        d = {}
-        for k, v in r.items():
-            d[k] = (
-                Cell(seconds=v["seconds"], value=v.get("value"))
-                if isinstance(v, dict) and "seconds" in v
-                else v
-            )
-        out.append(d)
-    return out
-
-
 def speedup(prg: Cell, other: Cell) -> str:
-    """other/prg time ratio, or '—' when the other system exhausted its
-    budget (the paper's 'fails where Peregrine succeeds')."""
-    if other.seconds is None or prg.seconds is None or prg.seconds == 0:
+    """other/prg time ratio; the other cell's marker when it has no time
+    ('—': failed where Peregrine succeeded)."""
+    if other.status != OK:
+        return MARKERS[other.status]
+    if prg.status != OK or prg.seconds == 0:
         return "—"
     return f"{other.seconds / prg.seconds:.1f}x"

@@ -52,6 +52,20 @@ def medium_unlabeled() -> Graph:
     return powerlaw_graph(200, 700, seed=8, name="medium")
 
 
+#: Tiny graphs that stand in for every dataset when the whole paper-table
+#: catalog runs (tests/test_catalog.py): they hold 4- and 5-cliques and
+#: labeled p2 triangles, yet the pattern-oblivious baselines enumerate
+#: every connected 5-set of them in seconds.
+@pytest.fixture(scope="session")
+def tiny_unlabeled() -> Graph:
+    return powerlaw_graph(30, 80, seed=1, name="tiny")
+
+
+@pytest.fixture(scope="session")
+def tiny_labeled() -> Graph:
+    return with_labels(powerlaw_graph(30, 80, seed=2, name="tiny-lab"), 3, seed=2)
+
+
 def _loaded(spark, g: Graph):
     edges = g.to_spark(spark).cache()
     edges.count()

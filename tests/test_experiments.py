@@ -5,14 +5,14 @@ import time
 import pytest
 
 from repro.baseline.common import BudgetExceeded
-from repro.experiments import run_table2, summarize_table1
+from repro.experiments import load_cells, run_table2, save_cells, summarize_table1
 from repro.harness import (
+    BUDGET,
+    SKIPPED,
     Cell,
     SparkGraph,
-    deserialize_rows,
     markdown_table,
     run_cell,
-    serialize_rows,
     speedup,
 )
 from repro.patterns_eval import EVAL_PATTERNS, P7, P8
@@ -46,28 +46,32 @@ class TestFormatting:
 
     def test_speedup(self):
         assert speedup(Cell(seconds=2.0), Cell(seconds=10.0)) == "5.0x"
-        assert speedup(Cell(seconds=2.0), Cell(seconds=None)) == "—"
-        assert speedup(Cell(seconds=None), Cell(seconds=1.0)) == "—"
+        assert speedup(Cell(seconds=2.0), Cell(status=BUDGET)) == "—"
+        assert speedup(Cell(seconds=2.0), Cell(status=SKIPPED)) == "n/a"
+        assert speedup(Cell(status=BUDGET), Cell(seconds=1.0)) == "—"
 
 
 class TestSerialization:
-    def test_roundtrip_preserves_seconds(self):
-        rows = [dict(app="x", g="MI", prg=Cell(1.5, 42), abq=Cell(seconds=None))]
-        back = deserialize_rows(serialize_rows(rows))
-        assert back[0]["prg"].seconds == 1.5
-        assert back[0]["abq"].seconds is None
-        assert back[0]["app"] == "x"
+    def test_roundtrip_preserves_seconds(self, tmp_path):
+        cells = {"table4/3-Motifs/MI/PRG": Cell(1.5, {"wedge": 42}),
+                 "table4/3-Motifs/MI/FCL": Cell(status=BUDGET),
+                 "table4/3-Motifs/OK/FCL": Cell(status=SKIPPED)}
+        save_cells(tmp_path / "t.json", "abc1234", cells)
+        commit, back = load_cells(tmp_path / "t.json")
+        assert commit == "abc1234"
+        assert back == cells
 
-    def test_serialized_is_json_safe(self):
-        import json
+    def test_serialized_is_json_safe(self, tmp_path):
+        weird = {(1, 2): object()}
+        save_cells(tmp_path / "t.json", "c", {"table4/3-Motifs/MI/PRG": Cell(0.1, weird)})
+        _, back = load_cells(tmp_path / "t.json")
+        assert back["table4/3-Motifs/MI/PRG"].value == repr(weird)
 
-        rows = [dict(prg=Cell(0.1, {"weird": object()}))]
-        json.dumps(serialize_rows(rows))  # must not raise
-
-    def test_summary_works_on_deserialized(self):
-        rows = [dict(app="x", g="MI", prg=Cell(1.0, 1), fcl=Cell(5.0, 1))]
-        back = deserialize_rows(serialize_rows(rows))
-        md, s = summarize_table1([], back, [], [])
+    def test_summary_works_on_deserialized(self, tmp_path):
+        cells = {"table4/3-Motifs/MI/PRG": Cell(1.0, 1),
+                 "table4/3-Motifs/MI/FCL": Cell(5.0, 1)}
+        save_cells(tmp_path / "t.json", "c", cells)
+        md, s = summarize_table1(load_cells(tmp_path / "t.json")[1])
         by = {r["system"]: r for r in s}
         assert by["Fractal (FCL)"]["max"] == "5.0x"
 
@@ -105,17 +109,43 @@ class TestEvalPatterns:
 
 class TestTable1Summary:
     def test_summary_from_synthetic_rows(self):
-        t3 = [
-            dict(app="x", g="MI", prg=Cell(1.0, 1), abq=Cell(10.0, 1), rs=Cell(seconds=None)),
-            dict(app="y", g="PA", prg=Cell(2.0, 1), abq=Cell(4.0, 1), rs=Cell(40.0, 1)),
-        ]
-        t4 = [dict(app="x", g="MI", prg=Cell(1.0, 1), fcl=Cell(3.0, 1))]
-        t5 = [dict(app="x", g="MI", prg=Cell(1.0, 1), gm=Cell(seconds=None))]
-        f10 = [dict(app="x", g="MI", prg=Cell(1.0, 1), prgu=Cell(8.0, 1))]
-        md, rows = summarize_table1(t3, t4, t5, f10)
+        results = {
+            "table3/3-Motifs/MI/PRG": Cell(1.0, 1),
+            "table3/3-Motifs/MI/ABQ": Cell(10.0, 1),
+            "table3/3-Motifs/MI/RS": Cell(status=BUDGET),
+            "table3/3-Motifs/PA/PRG": Cell(2.0, 1),
+            "table3/3-Motifs/PA/ABQ": Cell(4.0, 1),
+            "table3/3-Motifs/PA/RS": Cell(40.0, 1),
+            "table4/3-Motifs/MI/PRG": Cell(1.0, 1),
+            "table4/3-Motifs/MI/FCL": Cell(3.0, 1),
+            "table5/3-Cliques/MI/PRG": Cell(1.0, 1),
+            "table5/3-Cliques/MI/GM": Cell(status=BUDGET),
+            "fig10/4-Motifs/MI/PRG": Cell(1.0, 1),
+            "fig10/4-Motifs/MI/PRG-U": Cell(8.0, 1),
+        }
+        md, rows = summarize_table1(results)
         by = {r["system"]: r for r in rows}
         assert by["Arabesque (ABQ)"]["min"] == "2.0x"
         assert by["Arabesque (ABQ)"]["max"] == "10.0x"
         assert by["RStream (RS)"]["failed"] == 1
         assert by["G-Miner (GM)"]["failed"] == 1
         assert by["PRG-U (no sym. breaking)"]["max"] == "8.0x"
+
+    def test_skipped_cells_not_counted(self):
+        """Only a cell that ran out of budget failed; a cell that was
+        never attempted is neither a failure nor comparable."""
+        results = {
+            "table3/4-Motifs/MI/PRG": Cell(1.0, 1),
+            "table3/4-Motifs/MI/ABQ": Cell(status=BUDGET),
+            "table3/4-Motifs/MI/RS": Cell(status=BUDGET),
+            "table3/4-Motifs/OK/PRG": Cell(1.0, 1),
+            "table3/4-Motifs/OK/ABQ": Cell(status=SKIPPED),
+            "table3/4-Motifs/OK/RS": Cell(status=SKIPPED),
+            "table3/40-FSM/MI/PRG": Cell(1.0, 1),
+            "table3/40-FSM/MI/ABQ": Cell(2.0, 1),
+            "table3/40-FSM/MI/RS": Cell(status=SKIPPED),
+        }
+        _, rows = summarize_table1(results)
+        by = {r["system"]: r for r in rows}
+        assert (by["Arabesque (ABQ)"]["failed"], by["Arabesque (ABQ)"]["cells"]) == (1, 1)
+        assert (by["RStream (RS)"]["failed"], by["RStream (RS)"]["cells"]) == (1, 0)
