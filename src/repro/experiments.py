@@ -373,7 +373,7 @@ def render(table: str, results: dict[str, Cell]) -> str:
 # ---------------------------------------------------------------------------
 # Table 2 — dataset statistics
 # ---------------------------------------------------------------------------
-def run_table2(spark: Optional[SparkSession] = None) -> tuple[str, list[dict]]:
+def run_table2() -> tuple[str, list[dict]]:
     import pandas as pd
 
     pdf = datasets.dataset_stats()
@@ -442,14 +442,12 @@ def engine_commit() -> str:
     engine's files differ from it."""
     def git(*args):
         return subprocess.run(
-            ["git", "-C", str(Path(__file__).parent), *args],
-            capture_output=True, text=True,
+            ["git", *args, "--", *[f":(top){p}" for p in ENGINE]],
+            cwd=Path(__file__).parent, capture_output=True, text=True,
         ).stdout.strip()
 
-    root = git("rev-parse", "--show-toplevel")
-    paths = [str(Path(root) / p) for p in ENGINE]
-    commit = git("log", "-1", "--format=%h", "--", *paths) or "unknown"
-    return commit + ("+dirty" if git("status", "--porcelain", "--", *paths) else "")
+    commit = git("log", "-1", "--format=%h") or "unknown"
+    return commit + ("+dirty" if git("status", "--porcelain") else "")
 
 
 def _save(path: Path, commit: str, **payload) -> None:
