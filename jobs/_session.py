@@ -2,8 +2,10 @@
 
 Jobs run standalone (outside pytest), so they build their own local
 session with the same conventions as conftest.py: local[*], broadcast
-joins disabled (the engine's join DAGs must exercise real shuffles),
-Arrow on.
+joins disabled (the engine's adjacency-array joins and the baselines'
+joins exercise real shuffles), Arrow on. The console progress bar is
+off, so a job's stderr holds its ``[cell]`` records rather than
+progress-bar redraws.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ def get_session(app: str) -> SparkSession:
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
         f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
         "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
+        "--conf spark.ui.enabled=false "
+        "--conf spark.ui.showConsoleProgress=false pyspark-shell",
     )
     spark = (
         SparkSession.builder.appName(app)

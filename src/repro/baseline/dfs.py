@@ -16,10 +16,12 @@ k-vertex connected set is visited exactly once, at its minimum vertex.
 """
 from __future__ import annotations
 
+import pickle
 from typing import Callable, Optional
 
 import pandas as pd
-from pyspark.sql import DataFrame, functions as F
+from pyspark.errors import PythonException
+from pyspark.sql import DataFrame
 
 from ..core.pattern import Pattern
 from .common import (
@@ -82,46 +84,45 @@ def dfs_run(
 ) -> BaselineMetrics:
     """Run a DFS enumeration app: ``make_leaf(adj, state)`` returns the
     per-leaf callback; per-partition ``state`` dicts are merged by
-    ``finalize``. Budget violations in any task abort the whole run."""
+    ``finalize``. The first task to exceed its budget fails the Spark
+    job, which stops every other task, and the run raises
+    :class:`BudgetExceeded`."""
     spark = edges.sparkSession
     adj_b = spark.sparkContext.broadcast(adjacency_dict(edges_pdf))
     starts = edges.select("src").distinct().repartition(64, "src")
 
     def per_group(pdf_iter):
+        # a BudgetExceeded raised here fails the task, and with it the job
         adj = adj_b.value
         counters = {"explored": 0, "canonicality": 0, "isomorphism": 0}
         state: dict = {}
         leaf = make_leaf(adj, state)
-        budget_hit = False
         for pdf in pdf_iter:
             for v in pdf["src"].tolist():
-                try:
-                    _esu_from(
-                        int(v), k, adj, lambda s: leaf(s, counters),
-                        counters, budget, all_sizes=all_sizes,
-                    )
-                except BudgetExceeded:
-                    budget_hit = True
-                    break
-            if budget_hit:
-                break
-        import pickle
-
+                _esu_from(
+                    int(v), k, adj, lambda s: leaf(s, counters),
+                    counters, budget, all_sizes=all_sizes,
+                )
         yield pd.DataFrame(
             {
                 "explored": [counters["explored"]],
                 "canonicality": [counters["canonicality"]],
                 "isomorphism": [counters["isomorphism"]],
-                "budget_hit": [budget_hit],
                 "state": [pickle.dumps(state)],
             }
         )
 
-    out = starts.mapInPandas(
-        per_group,
-        schema="explored long, canonicality long, isomorphism long, budget_hit boolean, state binary",
-    ).collect()
-    import pickle
+    try:
+        out = starts.mapInPandas(
+            per_group,
+            schema="explored long, canonicality long, isomorphism long, state binary",
+        ).collect()
+    except PythonException as e:
+        if BudgetExceeded.__name__ not in str(e):
+            raise
+        raise BudgetExceeded(
+            f"a task explored more than its budget of {budget} embeddings"
+        ) from None
 
     m = BaselineMetrics()
     states = []
@@ -130,10 +131,6 @@ def dfs_run(
         m.canonicality += r["canonicality"]
         m.isomorphism += r["isomorphism"]
         states.append(pickle.loads(r["state"]))
-        if r["budget_hit"]:
-            raise BudgetExceeded(
-                f"explored {m.explored}+ embeddings > per-task budget {budget}"
-            )
     m.result = finalize(states)
     return m
 

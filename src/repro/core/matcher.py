@@ -1,20 +1,27 @@
-"""Pattern-aware matching engine compiled to DataFrame joins (§4, §5).
+"""Pattern-aware matching engine compiled to adjacency-array set
+operations (§4.3, §5.1).
 
-The exploration plan is compiled into a Catalyst join DAG over a
-symmetric edge table ``edges(src, dst)`` (both directions present, no
-self loops, distinct):
+The exploration plan is compiled into one DataFrame pipeline over
+``adj(src, nb)``: every data vertex with its sorted neighbour array,
+built once per call from a symmetric edge table ``edges(src, dst)``
+(both directions present, no self loops, distinct). Vertices are bound
+in the plan's vertex order:
 
-* matching a pattern edge  → inner self-join on ``edges``
-  (adjacency-list intersection ≡ join on two bound columns);
-* symmetry-breaking partial order ``a < b`` → ``col(va) < col(vb)``
-  predicate (the paper's ordered candidate-set range);
-* anti-edge → ``left_anti`` join against ``edges`` (set difference);
-* anti-vertex → witness join (common neighbor of the matched neighbors,
-  outside the match) followed by a ``left_anti`` join;
-* vertex label → inner join with the ``labels(v, label)`` table.
+* the first vertex → every row of ``adj`` (patterns are connected, so an
+  isolated data vertex can never match);
+* each later vertex ``u`` → candidates are the ``array_intersect`` of
+  its bound neighbours' arrays (adjacency-list intersection), minus the
+  ``array_except`` of each bound anti-neighbour's array (set difference);
+* symmetry-breaking partial order ``a < b`` and injectivity → one
+  ``filter`` lambda over the candidates (the paper's ordered
+  candidate-set range), then ``explode`` binds ``u``;
+* vertex label → inner join with the ``labels(v, label)`` table;
+* anti-vertex → one test: no common neighbour of its matched
+  anti-neighbours lies outside the match.
 
-Because the DAG is derived from the plan, every produced row *is* a
-match and each unique subgraph appears exactly once — no per-row
+``adj`` is joined in only for the vertices whose array a later step
+reads. Because the pipeline is derived from the plan, every produced row
+*is* a match and each unique subgraph appears exactly once — no per-row
 canonicality or isomorphism checks, the paper's core claim.
 
 ``symmetry_breaking=False`` is **PRG-U** (Figure 10): the order
@@ -24,6 +31,8 @@ not fully pattern-aware (AutoMine-style).
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,6 +44,10 @@ from .plan import ExplorationPlan, generate_plan
 
 def _c(v: int) -> str:
     return f"v{v}"
+
+
+def _nb(v: int) -> str:
+    return f"nb{v}"
 
 
 @dataclass
@@ -60,117 +73,68 @@ def match_df(
     plan = plan or generate_plan(pattern, induced=induced)
     p = plan.pattern
     order = plan.vertex_order
-    po = set(plan.partial_orders) if symmetry_breaking else set()
+    po = plan.partial_orders if symmetry_breaking else ()
 
     if labels is None and any(
         p.labels[v] is not None for v in p.regular_vertices
     ):
         raise ValueError("pattern has labels but no label table was given")
 
-    df: Optional[DataFrame] = None
-    bound: list[int] = []
-    for u in order:
-        df = _bind_vertex(df, edges, p, u, bound, po)
+    adj = edges.groupBy("src").agg(F.array_sort(F.collect_list("dst")).alias("nb"))
+    anti_nbrs = [
+        [w for w in p.get_anti_neighbors(av) if w not in p.anti_vertices]
+        for av in sorted(p.anti_vertices)
+    ]
+    read = {w for ws in anti_nbrs for w in ws} | {
+        w
+        for i, u in enumerate(order)
+        for w in order[:i]
+        if p.are_connected(u, w) or p.are_anti_adjacent(u, w)
+    }
+
+    df = adj.select(F.col("src").alias(_c(order[0])), F.col("nb").alias(_nb(order[0])))
+    for i, u in enumerate(order):
+        bound = order[:i]
+        if bound:
+            nbrs = [w for w in bound if p.are_connected(u, w)]
+            cand = functools.reduce(
+                F.array_intersect, [F.col(_nb(w)) for w in nbrs]
+            )
+            for w in bound:
+                if p.are_anti_adjacent(u, w):
+                    cand = F.array_except(cand, F.col(_nb(w)))
+            # partial orders, and injectivity towards bound vertices that
+            # neither adjacency nor an order already keeps apart
+            conds = [(a, b) for a, b in po if u in (a, b) and {a, b} <= {u, *bound}]
+            apart = [
+                w for w in bound
+                if w not in nbrs and (u, w) not in po and (w, u) not in po
+            ]
+            if conds or apart:
+                def keep(x):
+                    col = {w: F.col(_c(w)) for w in bound} | {u: x}
+                    tests = [col[a] < col[b] for a, b in conds]
+                    return functools.reduce(
+                        operator.and_, tests + [x != col[w] for w in apart]
+                    )
+
+                cand = F.filter(cand, keep)
+            df = df.select("*", F.explode(cand).alias(_c(u)))
         if labels is not None and p.labels[u] is not None:
             lab = labels.where(F.col("label") == F.lit(p.labels[u])).select(
                 F.col("v").alias(_c(u))
             )
             df = df.join(lab, on=_c(u), how="inner")
-        bound.append(u)
-    assert df is not None
+        if bound and u in read:
+            nb = adj.select(F.col("src").alias(_c(u)), F.col("nb").alias(_nb(u)))
+            df = df.join(nb, on=_c(u), how="inner")
 
-    for av in sorted(p.anti_vertices):
-        df = _apply_anti_vertex(df, edges, p, av, bound)
+    # anti-vertex: no common neighbour of its anti-neighbours outside the match
+    match = F.array(*[F.col(_c(v)) for v in order])
+    for ws in anti_nbrs:
+        common = functools.reduce(F.array_intersect, [F.col(_nb(w)) for w in ws])
+        df = df.where(F.size(F.array_except(common, match)) == 0)
     return df.select(*[_c(v) for v in sorted(p.regular_vertices)])
-
-
-def _bind_vertex(
-    df: Optional[DataFrame],
-    edges: DataFrame,
-    p: Pattern,
-    u: int,
-    bound: list[int],
-    po: set[tuple[int, int]],
-) -> DataFrame:
-    """Join vertex ``u`` into the partial match ``df`` (None = empty)."""
-    nbrs = [w for w in p.get_neighbors(u) if w in bound]
-    if df is None:
-        # first vertex: every endpoint in the edge table (patterns are
-        # connected, so an isolated data vertex can never match)
-        return edges.select(F.col("src").alias(_c(u))).distinct()
-    assert nbrs, "join order guarantees a bound neighbor"
-    # first bound neighbor generates candidates; the rest filter them
-    first, rest = nbrs[0], nbrs[1:]
-    e = edges.select(
-        F.col("src").alias(_c(first) + "__j"), F.col("dst").alias(_c(u))
-    )
-    df = df.join(e, df[_c(first)] == e[_c(first) + "__j"], "inner").drop(
-        _c(first) + "__j"
-    )
-    for w in rest:
-        e = edges.select(
-            F.col("src").alias(_c(w) + "__j"), F.col("dst").alias(_c(u) + "__j")
-        )
-        df = df.join(
-            e,
-            (df[_c(w)] == e[_c(w) + "__j"]) & (df[_c(u)] == e[_c(u) + "__j"]),
-            "inner",
-        ).drop(_c(w) + "__j", _c(u) + "__j")
-    # symmetry-breaking partial orders between u and bound vertices
-    for a, b in po:
-        if a == u and b in bound:
-            df = df.where(F.col(_c(a)) < F.col(_c(b)))
-        elif b == u and a in bound:
-            df = df.where(F.col(_c(a)) < F.col(_c(b)))
-    # injectivity for bound vertices not adjacent to u (adjacency or an
-    # order predicate already implies distinctness otherwise)
-    for w in bound:
-        if w in nbrs:
-            continue
-        if (u, w) in po or (w, u) in po:
-            continue
-        df = df.where(F.col(_c(u)) != F.col(_c(w)))
-    # anti-edges between u and bound vertices: set difference = anti-join
-    for w in bound:
-        if p.are_anti_adjacent(u, w) and w not in p.anti_vertices:
-            e = edges.select(
-                F.col("src").alias(_c(w) + "__a"), F.col("dst").alias(_c(u) + "__a")
-            )
-            df = df.join(
-                e,
-                (df[_c(w)] == e[_c(w) + "__a"]) & (df[_c(u)] == e[_c(u) + "__a"]),
-                "left_anti",
-            )
-    return df
-
-
-def _apply_anti_vertex(
-    df: DataFrame, edges: DataFrame, p: Pattern, av: int, bound: list[int]
-) -> DataFrame:
-    """Remove matches that have a witness: a data vertex outside the
-    match adjacent to every matched anti-neighbor of ``av`` (§4.3,
-    checked after all regular vertices are matched)."""
-    nbrs = [w for w in p.get_anti_neighbors(av) if w not in p.anti_vertices]
-    assert nbrs
-    first, rest = nbrs[0], nbrs[1:]
-    e = edges.select(F.col("src").alias(_c(first) + "__w"), F.col("dst").alias("__w"))
-    wit = df.join(e, df[_c(first)] == e[_c(first) + "__w"], "inner").drop(
-        _c(first) + "__w"
-    )
-    for w in rest:
-        e = edges.select(
-            F.col("src").alias(_c(w) + "__w"), F.col("dst").alias("__w2")
-        )
-        wit = wit.join(
-            e,
-            (wit[_c(w)] == e[_c(w) + "__w"]) & (wit["__w"] == e["__w2"]),
-            "inner",
-        ).drop(_c(w) + "__w", "__w2")
-    for v in bound:
-        wit = wit.where(F.col("__w") != F.col(_c(v)))
-    cols = [_c(v) for v in bound]
-    bad = wit.select(*cols).distinct()
-    return df.join(bad, on=cols, how="left_anti")
 
 
 def count_matches(
@@ -200,4 +164,3 @@ def count_matches(
     if stats is not None:
         stats.matches_explored += raw
     return n
-

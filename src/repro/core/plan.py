@@ -10,11 +10,11 @@ produces everything the matching engine needs:
 * **core** — the subgraph induced by a minimum *connected* vertex cover
   (anti-edges between regular vertices are covered too, §4.2;
   anti-vertices are excluded from the core, §4.3);
-* **matching orders** — all total orders of the core consistent with the
-  partial order (deduplicated structurally);
-* **vertex order** — the full join order used by the DataFrame engine:
-  core first (first matching order), then non-core regular vertices,
-  each adjacent to at least one earlier vertex; anti-vertices last.
+* **vertex order** — the order in which the DataFrame engine binds
+  vertices: core first (starting from the first total order of the core
+  consistent with the partial order), then non-core regular vertices,
+  each adjacent to at least one earlier vertex. Anti-vertices are
+  checked after every regular vertex is bound.
 
 ``Theorem 3.1``: vertex-induced matching of ``p`` equals edge-induced
 matching of ``p`` plus anti-edges between every non-adjacent regular
@@ -107,35 +107,21 @@ def _connected_within(vs: tuple[int, ...], adj: dict[int, set[int]]) -> bool:
     return seen == vset
 
 
-def compute_matching_orders(
-    p: Pattern, core: tuple[int, ...], partial_orders: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, ...], ...]:
-    """All total orders (sequences) of the core consistent with the
-    partial order restricted to core vertices, deduplicated by the
-    relabeled-core structure they induce (§4.1)."""
+def _core_order(
+    core: tuple[int, ...], partial_orders: tuple[tuple[int, int], ...]
+) -> tuple[int, ...]:
+    """The first total order of the core, in ``itertools.permutations``
+    order, that is consistent with the partial order restricted to core
+    vertices (§4.1): at each step take the earliest core vertex whose
+    core predecessors are all placed."""
     po = [(a, b) for a, b in partial_orders if a in core and b in core]
-    seqs = []
-    seen_structs = set()
-    for seq in itertools.permutations(core):
-        pos = {v: i for i, v in enumerate(seq)}
-        if any(pos[a] > pos[b] for a, b in po):
-            continue
-        # structure of the core relabeled by position in the sequence
-        struct = (
-            tuple(
-                sorted(
-                    _norm_edge(pos[a], pos[b])
-                    for a, b in p.edges
-                    if a in pos and b in pos
-                )
-            ),
-            tuple(p.labels[v] is None or p.labels[v] for v in seq),
-        )
-        if struct in seen_structs:
-            continue
-        seen_structs.add(struct)
-        seqs.append(seq)
-    return tuple(seqs)
+    seq: list[int] = []
+    while len(seq) < len(core):
+        seq.append(next(
+            v for v in core
+            if v not in seq and all(a in seq for a, b in po if b == v)
+        ))
+    return tuple(seq)
 
 
 @dataclass(frozen=True)
@@ -145,13 +131,12 @@ class ExplorationPlan:
     pattern: Pattern  # rewritten pattern (anti-edges added when induced)
     partial_orders: tuple[tuple[int, int], ...]
     core: tuple[int, ...]
-    matching_orders: tuple[tuple[int, ...], ...]
-    vertex_order: tuple[int, ...]  # regular vertices in join order
+    vertex_order: tuple[int, ...]  # regular vertices in binding order
     num_automorphisms: int
 
 
 def generate_plan(p: Pattern, induced: bool = False) -> ExplorationPlan:
-    """Figure 5: symmetry breaking → vertex cover → matching orders.
+    """Figure 5: symmetry breaking → vertex cover → vertex order.
 
     ``induced=True`` first applies the Theorem 3.1 rewrite so the plan
     finds vertex-induced matches via edge-induced machinery.
@@ -159,25 +144,23 @@ def generate_plan(p: Pattern, induced: bool = False) -> ExplorationPlan:
     q = vertex_induced_rewrite(p) if induced else p
     partial = break_symmetries(q)
     core = min_connected_vertex_cover(q)
-    orders = compute_matching_orders(q, core, partial)
-    vertex_order = _full_vertex_order(q, orders[0] if orders else core)
+    vertex_order = _full_vertex_order(q, _core_order(core, partial))
     return ExplorationPlan(
         pattern=q,
         partial_orders=partial,
         core=core,
-        matching_orders=orders,
         vertex_order=vertex_order,
         num_automorphisms=len(q.automorphisms()),
     )
 
 
 def _full_vertex_order(p: Pattern, core_seq: tuple[int, ...]) -> tuple[int, ...]:
-    """A prefix-connected join order: core vertices first, then non-core
-    regular vertices (whose regular neighbors are all in the core, by
-    the cover property). The core sequence is reordered greedily so
-    every vertex after the first is adjacent to an earlier one — the
-    join engine needs that; matching-order total orders are enforced
-    separately as ``<`` predicates."""
+    """A prefix-connected binding order: core vertices first, then
+    non-core regular vertices (whose regular neighbors are all in the
+    core, by the cover property). The core sequence is reordered greedily
+    so every vertex after the first is adjacent to an earlier one — the
+    engine draws its candidates from bound neighbours' adjacency arrays;
+    the partial order is enforced separately as ``<`` predicates."""
     core = list(core_seq)
     order = [core[0]]
     remaining = core[1:]

@@ -7,12 +7,11 @@ produces: same symmetry-breaking partial orders, same anti-edge /
 anti-vertex / label semantics, same Theorem 3.1 vertex-induced rewrite.
 
 Every test that checks an engine result runs this SQL through
-``repro.oracle.assert_equivalent`` so a wrong join DAG is caught against
+``repro.oracle.assert_equivalent`` so a wrong engine plan is caught against
 an independent executor (DuckDB), not just against "it ran".
 """
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from .core.pattern import Pattern
@@ -45,11 +44,6 @@ def _conditions(plan: ExplorationPlan, symmetry_breaking: bool = True) -> list[s
                     "NOT EXISTS (SELECT 1 FROM edges x "
                     f"WHERE x.src = m.v{w} AND x.dst = m.v{u})"
                 )
-        if p.labels[u] is not None:
-            conds.append(
-                "EXISTS (SELECT 1 FROM labels l "
-                f"WHERE l.v = m.v{u} AND l.label = {p.labels[u]})"
-            )
         bound.append(u)
     for av in sorted(p.anti_vertices):
         nbrs = [w for w in p.get_anti_neighbors(av) if w not in p.anti_vertices]
@@ -70,7 +64,8 @@ def _conditions(plan: ExplorationPlan, symmetry_breaking: bool = True) -> list[s
 
 def _from_clause(plan: ExplorationPlan) -> str:
     """Spanning join over the vertex order: each vertex after the first
-    is introduced through an edge from its first bound neighbor."""
+    is introduced through an edge from its first bound neighbor, and
+    each labeled vertex joins the label table."""
     p = plan.pattern
     order = plan.vertex_order
     v0 = order[0]
@@ -80,6 +75,11 @@ def _from_clause(plan: ExplorationPlan) -> str:
         first = next(w for w in p.get_neighbors(u) if w in exprs)
         parts.append(f"JOIN edges t{u} ON t{u}.src = {exprs[first]}")
         exprs[u] = f"t{u}.dst"
+    for u in order:
+        if p.labels[u] is not None:
+            parts.append(
+                f"JOIN labels l{u} ON l{u}.v = {exprs[u]} AND l{u}.label = {p.labels[u]}"
+            )
     select = ", ".join(
         f"{exprs[u]} AS v{u}" for u in sorted(exprs)
     )
@@ -129,15 +129,17 @@ def _vertex_orbits(p: Pattern) -> list[tuple[int, ...]]:
 def mni_support_sql(pattern: Pattern, induced: bool = False) -> str:
     """SQL producing a single row ``support`` = MNI support: the minimum
     over automorphism orbits of the distinct-vertex count of the orbit's
-    unioned match columns."""
+    match columns. The match table is scanned once, unnested into
+    ``(orbit, vertex)`` rows and grouped by orbit."""
     plan = generate_plan(pattern, induced=induced)
     base = matches_sql(pattern, induced, plan=plan)
-    orbit_counts = []
-    for orb in _vertex_orbits(plan.pattern):
-        union = " UNION ".join(f"SELECT v{u} AS v FROM base" for u in orb)
-        orbit_counts.append(f"SELECT count(DISTINCT v) AS c FROM ({union})")
-    least = " , ".join(f"({q})" for q in orbit_counts)
+    orbit = {u: i for i, orb in enumerate(_vertex_orbits(plan.pattern)) for u in orb}
+    us = sorted(orbit)
+    pairs = (
+        f"SELECT unnest([{', '.join(str(orbit[u]) for u in us)}]) AS o, "
+        f"unnest([{', '.join(f'v{u}' for u in us)}]) AS v FROM ({base})"
+    )
     return (
-        f"WITH base AS ({base}) "
-        f"SELECT least({least}) AS support"
+        "SELECT coalesce(min(c), 0) AS support FROM "
+        f"(SELECT count(DISTINCT v) AS c FROM ({pairs}) GROUP BY o)"
     )

@@ -1,9 +1,11 @@
 """End-to-end tests for the DataFrame matching engine.
 
-Every count is triple-checked: Spark join DAG == pure-Python reference,
+Every count is triple-checked: Spark engine == pure-Python reference,
 and Spark result == DuckDB via ``assert_equivalent`` over SQL generated
 from the same pattern (the mandated oracle path).
 """
+import re
+
 import pytest
 from pyspark.sql import functions as F
 
@@ -214,3 +216,15 @@ class TestPlanIntegration:
         graph, edges = small
         df = match_df(edges, ALL_EVAL["p7"])
         assert df.columns == ["v0", "v1", "v2"]
+
+
+class TestCompiledPlan:
+    def test_clique5_plan_joins_only_for_adjacency_arrays(self, small):
+        """Candidates are intersections of bound vertices' adjacency
+        arrays, so the optimized plan joins ``adj`` once per vertex whose
+        array a later step reads (3 for the 5-clique), not once per
+        pattern edge (10)."""
+        graph, edges = small
+        df = match_df(edges, clique(5))
+        plan = df._jdf.queryExecution().optimizedPlan().toString()
+        assert len(re.findall(r"\bJoin\b", plan)) <= 4

@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.pattern import Pattern, chain, clique, star
 from repro.core.plan import (
+    _core_order,
     break_symmetries,
-    compute_matching_orders,
     generate_plan,
     min_connected_vertex_cover,
     vertex_induced_rewrite,
@@ -127,10 +127,12 @@ class TestVertexCover:
 
 class TestMatchingOrders:
     def test_diamond_has_single_order(self):
-        """Paper §4.1: the diamond core has exactly one matching order."""
+        """Paper §4.1: the diamond core has exactly one matching order,
+        and the engine binds the core in it."""
         d = Pattern.of(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
         plan = generate_plan(d)
-        assert plan.matching_orders == ((1, 2),)
+        assert _core_order(plan.core, plan.partial_orders) == (1, 2)
+        assert plan.vertex_order[:2] == (1, 2)
 
     def test_orders_respect_partial_order(self):
         for name, p in ALL_PATTERNS.items():
@@ -140,17 +142,25 @@ class TestMatchingOrders:
                 for a, b in plan.partial_orders
                 if a in plan.core and b in plan.core
             ]
-            for seq in plan.matching_orders:
-                pos = {v: i for i, v in enumerate(seq)}
-                for a, b in po:
-                    assert pos[a] < pos[b], (name, seq, (a, b))
+            seq = _core_order(plan.core, plan.partial_orders)
+            pos = {v: i for i, v in enumerate(seq)}
+            for a, b in po:
+                assert pos[a] < pos[b], (name, seq, (a, b))
 
-    def test_unordered_core_has_multiple_orders(self):
-        # chain4 core {1,2} is symmetric -> broken by (0,3) which is
-        # non-core, so both core sequences are structurally distinct? No:
-        # the relabeled structures coincide, so duplicates are dropped.
-        plan = generate_plan(chain(4))
-        assert len(plan.matching_orders) >= 1
+    def test_core_order_is_first_consistent_permutation(self):
+        """The core order is the first permutation of the core, in
+        ``itertools.permutations`` order, that the partial order allows."""
+        for (name, p), induced in itertools.product(ALL_PATTERNS.items(), (False, True)):
+            plan = generate_plan(p, induced=induced)
+            first = next(
+                seq for seq in itertools.permutations(plan.core)
+                if all(
+                    seq.index(a) < seq.index(b)
+                    for a, b in plan.partial_orders
+                    if a in seq and b in seq
+                )
+            )
+            assert _core_order(plan.core, plan.partial_orders) == first, (name, induced)
 
 
 class TestPlan:

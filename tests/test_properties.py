@@ -1,7 +1,7 @@
-"""Property-based tests (hypothesis) for the pure-Python layers:
-canonical-form invariance, plan invariants, engine-vs-reference
-consistency on random graphs (reference + SQL only — the Spark engine's
-random-graph checks live in test_matcher.py with fixed seeds)."""
+"""Property-based tests (hypothesis): canonical-form invariance, plan
+invariants, reference-vs-SQL consistency on random graphs, and the Spark
+engine's rows against the reference on random labeled, constrained
+patterns (few examples: each one runs Spark jobs)."""
 import random
 
 import duckdb
@@ -9,12 +9,13 @@ import pandas as pd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.matcher import count_matches, match_df
 from repro.core.mining import _iso_map
 from repro.core.pattern import Pattern, _norm_edge
 from repro.core.plan import break_symmetries, generate_plan, min_connected_vertex_cover
 from repro.graph.gengraph import from_edge_list
 from repro.oracle_sql import count_sql
-from repro.reference import RefGraph, ref_count
+from repro.reference import RefGraph, ref_count, ref_matches
 
 
 @st.composite
@@ -35,15 +36,18 @@ def connected_patterns(draw):
 
 @st.composite
 def labeled_patterns(draw):
-    """A random connected pattern with wildcard/int labels and, when the
-    pattern is not a clique, one anti-edge."""
+    """A random connected pattern with wildcard/int labels, one anti-edge
+    when the pattern is not a clique, and sometimes an anti-vertex."""
     p = draw(connected_patterns())
     labels = draw(st.lists(st.sampled_from([None, 0, 1]), min_size=p.n, max_size=p.n))
     pairs = [
         (a, b) for a in range(p.n) for b in range(a + 1, p.n) if (a, b) not in p.edges
     ]
     anti = [draw(st.sampled_from(pairs))] if pairs else []
-    return Pattern.of(p.n, p.edges, anti, labels)
+    q = Pattern.of(p.n, p.edges, anti, labels)
+    if draw(st.booleans()):
+        q = q.add_anti_vertex(sorted(draw(st.sets(st.integers(0, p.n - 1), min_size=1))))
+    return q
 
 
 @st.composite
@@ -75,6 +79,7 @@ class TestPatternProperties:
             {_norm_edge(perm[a], perm[b]) for a, b in p.edges},
             {_norm_edge(perm[a], perm[b]) for a, b in p.anti_edges},
             labels,
+            {perm[v] for v in p.anti_vertices},
         )
         assert p.canonical_key() == q.canonical_key()
         assert p.canonical() == q.canonical()
@@ -83,13 +88,16 @@ class TestPatternProperties:
     @settings(max_examples=60, deadline=None)
     @given(labeled_patterns())
     def test_automorphism_count_matches_networkx(self, p):
-        """|Aut(p)| from VF2 self-isomorphisms that keep labels and keep
-        edges and anti-edges apart — independent of ``_maps_onto``."""
+        """|Aut(p)| from VF2 self-isomorphisms that keep labels, keep
+        anti-vertices apart from regular ones and edges apart from
+        anti-edges — independent of ``_maps_onto``."""
         import networkx as nx
         from networkx.algorithms.isomorphism import GraphMatcher
 
         g = nx.Graph()
-        g.add_nodes_from((v, {"label": p.labels[v]}) for v in range(p.n))
+        g.add_nodes_from(
+            (v, {"label": (p.labels[v], v in p.anti_vertices)}) for v in range(p.n)
+        )
         g.add_edges_from(p.edges, kind="edge")
         g.add_edges_from(p.anti_edges, kind="anti")
         gm = GraphMatcher(
@@ -181,3 +189,24 @@ class TestReferenceVsSqlProperties:
         assert ref_count(rg, p, induced=True) == ref_count(
             rg, vertex_induced_rewrite(p)
         )
+
+
+class TestEngineProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p=labeled_patterns(),
+        edges=small_graphs(),
+        seed=st.integers(0, 10**6),
+        induced=st.booleans(),
+    )
+    def test_rows_equal_reference(self, sparks, p, edges, seed, induced):
+        """``match_df`` rows and ``count_matches`` equal the brute-force
+        reference for patterns with labels, anti-edges and anti-vertices."""
+        rnd = random.Random(seed)
+        n = max(max(e) for e in edges) + 1
+        g = from_edge_list(edges, labels={v: rnd.randrange(2) for v in range(n)})
+        e, lab = g.to_spark(sparks), g.labels_to_spark(sparks)
+        want = sorted(ref_matches(RefGraph(g.edge_tuples(), g.label_dict()), p, induced))
+        rows = match_df(e, p, labels=lab, induced=induced).collect()
+        assert sorted(tuple(r) for r in rows) == want
+        assert count_matches(e, p, labels=lab, induced=induced) == len(want)
