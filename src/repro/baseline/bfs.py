@@ -2,9 +2,10 @@
 
 Level-synchronous filter-process model over DataFrames: embeddings are
 materialized per level, every generated embedding is canonicality-
-checked (pandas UDF over a broadcast adjacency), and structure is
-discovered with per-embedding isomorphism encodings — exactly the work
-the paper shows pattern-unaware systems doing (Figure 1).
+checked (pandas UDF over the loaded graph's broadcast adjacency), and
+structure is discovered with per-embedding isomorphism encodings —
+exactly the work the paper shows pattern-unaware systems doing
+(Figure 1).
 
 Two modes:
 
@@ -21,20 +22,29 @@ raises :class:`BudgetExceeded` (the OOM/out-of-disk analog).
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import pandas as pd
 from pyspark.sql import DataFrame, functions as F
-from pyspark.sql.types import BooleanType, StringType
+from pyspark.sql.types import (
+    ArrayType,
+    BooleanType,
+    LongType,
+    StringType,
+    StructField,
+    StructType,
+)
 
-from ..core.pattern import Pattern
 from .common import (
     BaselineMetrics,
-    BudgetExceeded,
-    adjacency_dict,
+    encode_induced,
     encode_labeled_edge_embedding,
     is_canonical_embedding,
+    is_clique,
 )
+
+if TYPE_CHECKING:
+    from ..harness import SparkGraph
 
 _BUDGET_DEFAULT = 3_000_000
 
@@ -81,8 +91,7 @@ def _canonical_filter(emb: DataFrame, adj_b) -> DataFrame:
 
 
 def bfs_enumerate(
-    edges: DataFrame,
-    edges_pdf: pd.DataFrame,
+    g: SparkGraph,
     k: int,
     mode: str = "abq",
     budget: Optional[int] = _BUDGET_DEFAULT,
@@ -93,8 +102,7 @@ def bfs_enumerate(
     each). ``clique_filter`` applies Arabesque's per-level filter for the
     clique app — candidates are still generated (and charged) first."""
     m = metrics if metrics is not None else BaselineMetrics()
-    spark = edges.sparkSession
-    adj_b = spark.sparkContext.broadcast(adjacency_dict(edges_pdf))
+    edges, adj_b = g.edges, g.adj_b
     emb = _vertex_level1(edges).cache()
     _probed_count(emb, m, budget)
     for level in range(2, k + 1):
@@ -124,23 +132,15 @@ def bfs_enumerate(
 
 def _clique_filter(emb: DataFrame, adj_b) -> DataFrame:
     @F.pandas_udf(BooleanType())
-    def is_clique(vs: pd.Series) -> pd.Series:
+    def clique(vs: pd.Series) -> pd.Series:
         adj = adj_b.value
+        return vs.map(lambda a: is_clique(tuple(int(x) for x in a), adj))
 
-        def f(a) -> bool:
-            t = [int(x) for x in a]
-            return all(
-                t[j] in adj.get(t[i], ()) for i in range(len(t)) for j in range(i + 1, len(t))
-            )
-
-        return vs.map(f)
-
-    return emb.where(is_clique(F.col("vs")))
+    return emb.where(clique(F.col("vs")))
 
 
 def bfs_count_cliques(
-    edges: DataFrame,
-    edges_pdf: pd.DataFrame,
+    g: SparkGraph,
     k: int,
     mode: str = "abq",
     budget: Optional[int] = _BUDGET_DEFAULT,
@@ -150,9 +150,7 @@ def bfs_count_cliques(
     Isomorphism checks: one per final match for ABQ (its aggregation
     identifies the pattern of every embedding); RStream's clique app is
     native (0 isomorphism checks), as in Figure 1b."""
-    emb, m = bfs_enumerate(
-        edges, edges_pdf, k, mode=mode, budget=budget, clique_filter=True
-    )
+    emb, m = bfs_enumerate(g, k, mode=mode, budget=budget, clique_filter=True)
     m.result = emb.count()
     if mode == "abq":
         m.isomorphism += m.result
@@ -160,8 +158,7 @@ def bfs_count_cliques(
 
 
 def bfs_count_motifs(
-    edges: DataFrame,
-    edges_pdf: pd.DataFrame,
+    g: SparkGraph,
     k: int,
     mode: str = "abq",
     budget: Optional[int] = _BUDGET_DEFAULT,
@@ -169,11 +166,8 @@ def bfs_count_motifs(
     """Motif counting: enumerate every connected k-vertex embedding,
     then run a per-embedding isomorphism encoding to bin by pattern
     (Figure 1c's isomorphism column ~= number of final matches)."""
-    emb, m = bfs_enumerate(edges, edges_pdf, k, mode=mode, budget=budget)
-    spark = edges.sparkSession
-    adj_b = spark.sparkContext.broadcast(adjacency_dict(edges_pdf))
-
-    from .common import encode_induced
+    emb, m = bfs_enumerate(g, k, mode=mode, budget=budget)
+    adj_b = g.adj_b
 
     @F.pandas_udf(StringType())
     def code(vs: pd.Series) -> pd.Series:
@@ -190,10 +184,15 @@ def bfs_count_motifs(
 # ---------------------------------------------------------------------------
 # FSM: edge-induced BFS with per-level MNI aggregation (Arabesque-style)
 # ---------------------------------------------------------------------------
+_ENC_SCHEMA = StructType([
+    StructField("code", StringType()),
+    StructField("mapped", ArrayType(LongType())),
+    StructField("orbits", ArrayType(LongType())),
+])
+
+
 def bfs_fsm(
-    edges: DataFrame,
-    edges_pdf: pd.DataFrame,
-    labels_pdf: pd.DataFrame,
+    g: SparkGraph,
     threshold: int,
     max_edges: int = 3,
     budget: Optional[int] = _BUDGET_DEFAULT,
@@ -207,11 +206,21 @@ def bfs_fsm(
     attributes to pattern-unaware FSM.
     """
     m = BaselineMetrics()
-    spark = edges.sparkSession
-    label_of = dict(
-        zip(labels_pdf.v.astype(int), labels_pdf.label.astype(int))
-    )
-    lab_b = spark.sparkContext.broadcast(label_of)
+    edges, lab_b = g.edges, g.labels_b
+
+    # per-embedding isomorphism computation: labeled pattern code + data
+    # vertices by canonical position (for the MNI domain)
+    @F.pandas_udf(_ENC_SCHEMA)
+    def enc(es: pd.Series) -> pd.DataFrame:
+        lo = lab_b.value
+        codes, mappeds, orbs = [], [], []
+        for a in es:
+            eset = frozenset((int(p[0]), int(p[1])) for p in a)
+            c, mp, ob = encode_labeled_edge_embedding(eset, lo)
+            codes.append(c)
+            mappeds.append(list(mp))
+            orbs.append(list(ob))
+        return pd.DataFrame({"code": codes, "mapped": mappeds, "orbits": orbs})
 
     und = edges.where(F.col("src") < F.col("dst"))
     emb = und.select(
@@ -247,45 +256,14 @@ def bfs_fsm(
             cand.unpersist()
             emb = nxt
 
-        # per-embedding isomorphism computation: labeled pattern code +
-        # data vertices by canonical position (for the MNI domain)
-        from pyspark.sql.types import (
-            ArrayType,
-            LongType,
-            StructField,
-            StructType,
-        )
-
-        schema = StructType(
-            [
-                StructField("code", StringType()),
-                StructField("mapped", ArrayType(LongType())),
-                StructField("orbits", ArrayType(LongType())),
-            ]
-        )
-
-        @F.pandas_udf(schema)
-        def enc(es: pd.Series) -> pd.DataFrame:
-            lo = lab_b.value
-            codes, mappeds, orbs = [], [], []
-            for a in es:
-                eset = frozenset(
-                    (int(p[0]), int(p[1])) for p in a
-                )
-                c, mp, ob = encode_labeled_edge_embedding(eset, lo)
-                codes.append(c)
-                mappeds.append(list(mp))
-                orbs.append(list(ob))
-            return pd.DataFrame({"code": codes, "mapped": mappeds, "orbits": orbs})
-
         coded = emb.withColumn("cm", enc(F.col("es"))).select(
             "es",
             F.col("cm.code").alias("code"),
             F.col("cm.mapped").alias("mapped"),
             F.col("cm.orbits").alias("orbits"),
         ).cache()
-        n_emb = coded.count()
-        m.isomorphism += n_emb
+        m.isomorphism += coded.count()
+        emb.unpersist()
 
         # MNI domain per automorphism orbit of each labeled pattern
         # (symmetric positions share a domain); support = min over orbits
@@ -305,8 +283,7 @@ def bfs_fsm(
         if level >= 2:
             frequent_final.update(freq)
         if not freq or level == max_edges:
-            emb = coded
-            emb.unpersist()
+            coded.unpersist()
             break
         emb = coded.where(F.col("code").isin(list(freq))).select("es").cache()
         emb.count()

@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import pandas as pd
-from pyspark.sql import DataFrame
 
 from ..core.pattern import Pattern
 
@@ -41,12 +40,19 @@ class BaselineMetrics:
             )
 
 
-def adjacency_dict(edges_pdf: pd.DataFrame) -> dict[int, frozenset]:
+def adjacency_dict(edges: pd.DataFrame) -> dict[int, frozenset]:
     """{vertex: neighbor set} from a symmetric pandas edge table."""
     adj: dict[int, set] = {}
-    for s, d in zip(edges_pdf.src.to_numpy(), edges_pdf.dst.to_numpy()):
+    for s, d in zip(edges.src.to_numpy(), edges.dst.to_numpy()):
         adj.setdefault(int(s), set()).add(int(d))
     return {v: frozenset(ns) for v, ns in adj.items()}
+
+
+def is_clique(vs: tuple[int, ...], adj: dict[int, frozenset]) -> bool:
+    """Every pair of ``vs`` is adjacent."""
+    return all(
+        vs[j] in adj.get(vs[i], ()) for i in range(len(vs)) for j in range(i + 1, len(vs))
+    )
 
 
 def is_canonical_embedding(vs: tuple[int, ...], adj: dict[int, frozenset]) -> bool:

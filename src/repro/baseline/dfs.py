@@ -8,32 +8,41 @@ one was. The explored/canonicality counters therefore track every
 recursion node and extension-candidate test, which is what Figure 1b
 shows for Fractal (e.g. 188x the 4-clique result size).
 
-Implementation: one task per start vertex (``applyInPandas`` over a
-repartitioned vertex table — Spark's dynamic scheduling stands in for
-Fractal's work stealing), each task running the ESU (Wernicke)
-connected-subgraph enumerator over a broadcast adjacency so every
-k-vertex connected set is visited exactly once, at its minimum vertex.
+Implementation: ``TASKS`` tasks over a hash-partitioned start-vertex
+table — Spark's dynamic scheduling stands in for Fractal's work
+stealing — each running the ESU (Wernicke) connected-subgraph enumerator
+from each of its start vertices over the loaded graph's broadcast
+adjacency, so every k-vertex connected set is visited exactly once, at
+its minimum vertex. Each leaf returns a ``Counter``; the run sums them.
 """
 from __future__ import annotations
 
-import pickle
-from typing import Callable, Optional
+import itertools
+from collections import Counter
+from typing import TYPE_CHECKING, Callable, Optional
 
-import pandas as pd
-from pyspark.errors import PythonException
-from pyspark.sql import DataFrame
+from py4j.protocol import Py4JJavaError
 
 from ..core.pattern import Pattern
 from .common import (
     BaselineMetrics,
     BudgetExceeded,
-    adjacency_dict,
     count_pattern_in_set,
     encode_induced,
     encode_labeled_edge_embedding,
+    is_clique,
 )
 
+if TYPE_CHECKING:
+    from ..harness import SparkGraph
+
 _BUDGET_DEFAULT = 3_000_000
+
+#: DFS tasks per run. A budget is per task (the worker-memory analog).
+TASKS = 64
+
+#: ``leaf(vertex set, adjacency, work counters)`` -> the leaf's counts.
+Leaf = Callable[[tuple[int, ...], dict[int, frozenset], dict], Counter]
 
 
 def _esu_from(
@@ -74,160 +83,101 @@ def _esu_from(
 
 
 def dfs_run(
-    edges: DataFrame,
-    edges_pdf: pd.DataFrame,
+    g: SparkGraph,
     k: int,
-    make_leaf: Callable[[dict[int, frozenset], dict], Callable],
-    finalize: Callable[[list[dict]], object],
+    leaf: Leaf,
     budget: Optional[int] = _BUDGET_DEFAULT,
     all_sizes: bool = False,
 ) -> BaselineMetrics:
-    """Run a DFS enumeration app: ``make_leaf(adj, state)`` returns the
-    per-leaf callback; per-partition ``state`` dicts are merged by
-    ``finalize``. The first task to exceed its budget fails the Spark
-    job, which stops every other task, and the run raises
-    :class:`BudgetExceeded`."""
-    spark = edges.sparkSession
-    adj_b = spark.sparkContext.broadcast(adjacency_dict(edges_pdf))
-    starts = edges.select("src").distinct().repartition(64, "src")
+    """Run a DFS enumeration app over ``g``: ``m.result`` is the sum of
+    the ``Counter`` every leaf returns. The first task to exceed its
+    budget fails the Spark job, which stops every other task, and the run
+    raises :class:`BudgetExceeded`."""
+    adj_b = g.adj_b
+    starts = g.edges.select("src").distinct().repartition(TASKS, "src")
 
-    def per_group(pdf_iter):
+    def task(rows):
         # a BudgetExceeded raised here fails the task, and with it the job
         adj = adj_b.value
+        # a plain dict: the counters are bumped once per ESU step
         counters = {"explored": 0, "canonicality": 0, "isomorphism": 0}
-        state: dict = {}
-        leaf = make_leaf(adj, state)
-        for pdf in pdf_iter:
-            for v in pdf["src"].tolist():
-                _esu_from(
-                    int(v), k, adj, lambda s: leaf(s, counters),
-                    counters, budget, all_sizes=all_sizes,
-                )
-        yield pd.DataFrame(
-            {
-                "explored": [counters["explored"]],
-                "canonicality": [counters["canonicality"]],
-                "isomorphism": [counters["isomorphism"]],
-                "state": [pickle.dumps(state)],
-            }
-        )
+        total = Counter()
+
+        def add(vs):
+            c = leaf(vs, adj, counters)
+            if c:  # skips the update for the many leaves that count nothing
+                total.update(c)
+
+        for r in rows:
+            _esu_from(r.src, k, adj, add, counters, budget, all_sizes=all_sizes)
+        yield counters, total
 
     try:
-        out = starts.mapInPandas(
-            per_group,
-            schema="explored long, canonicality long, isomorphism long, state binary",
-        ).collect()
-    except PythonException as e:
+        out = starts.rdd.mapPartitions(task).collect()
+    except Py4JJavaError as e:
         if BudgetExceeded.__name__ not in str(e):
             raise
         raise BudgetExceeded(
             f"a task explored more than its budget of {budget} embeddings"
         ) from None
 
-    m = BaselineMetrics()
-    states = []
-    for r in out:
-        m.explored += r["explored"]
-        m.canonicality += r["canonicality"]
-        m.isomorphism += r["isomorphism"]
-        states.append(pickle.loads(r["state"]))
-    m.result = finalize(states)
+    m = BaselineMetrics(result=Counter())
+    for counters, total in out:
+        m.explored += counters["explored"]
+        m.canonicality += counters["canonicality"]
+        m.isomorphism += counters["isomorphism"]
+        m.result.update(total)
     return m
 
 
-def _merge_counts(states: list[dict]) -> dict:
-    out: dict = {}
-    for s in states:
-        for key, v in s.items():
-            out[key] = out.get(key, 0) + v
-    return out
-
-
 def dfs_count_cliques(
-    edges: DataFrame,
-    edges_pdf: pd.DataFrame,
-    k: int,
-    budget: Optional[int] = _BUDGET_DEFAULT,
+    g: SparkGraph, k: int, budget: Optional[int] = _BUDGET_DEFAULT
 ) -> BaselineMetrics:
     """Enumerate all connected k-sets; test the clique property at each
     leaf (native clique support — 0 isomorphism checks, Fig. 1b)."""
-
-    def make_leaf(adj, state):
-        state["count"] = 0
-
-        def leaf(vs, counters):
-            if all(
-                vs[j] in adj.get(vs[i], ())
-                for i in range(len(vs))
-                for j in range(i + 1, len(vs))
-            ):
-                state["count"] += 1
-
-        return leaf
-
     m = dfs_run(
-        edges, edges_pdf, k, make_leaf,
-        lambda states: sum(s.get("count", 0) for s in states),
-        budget,
+        g, k, lambda vs, adj, c: Counter(cliques=1) if is_clique(vs, adj) else Counter(), budget
     )
+    m.result = m.result["cliques"]
     return m
 
 
 def dfs_count_motifs(
-    edges: DataFrame,
-    edges_pdf: pd.DataFrame,
-    k: int,
-    budget: Optional[int] = _BUDGET_DEFAULT,
+    g: SparkGraph, k: int, budget: Optional[int] = _BUDGET_DEFAULT
 ) -> BaselineMetrics:
-    """Enumerate all connected k-sets; isomorphism-encode each leaf."""
+    """Enumerate all connected k-sets; isomorphism-encode each leaf.
+    ``m.result`` maps each motif's canonical key string to its count."""
 
-    def make_leaf(adj, state):
-        def leaf(vs, counters):
-            counters["isomorphism"] += 1
-            code = encode_induced(vs, adj)
-            state[code] = state.get(code, 0) + 1
+    def leaf(vs, adj, counters):
+        counters["isomorphism"] += 1
+        return Counter({encode_induced(vs, adj): 1})
 
-        return leaf
-
-    return dfs_run(edges, edges_pdf, k, make_leaf, _merge_counts, budget)
+    return dfs_run(g, k, leaf, budget)
 
 
 def dfs_match_pattern(
-    edges: DataFrame,
-    edges_pdf: pd.DataFrame,
+    g: SparkGraph,
     pattern: Pattern,
-    labels_pdf: Optional[pd.DataFrame] = None,
     budget: Optional[int] = _BUDGET_DEFAULT,
 ) -> BaselineMetrics:
     """Pattern matching the DFS way: enumerate all connected |V(p)|-sets
     and count the edge-induced matches inside each induced subgraph at
     the leaf (a per-leaf isomorphism computation)."""
-    label_of = (
-        None
-        if labels_pdf is None
-        else dict(zip(labels_pdf.v.astype(int), labels_pdf.label.astype(int)))
-    )
+    labeled = any(lab is not None for lab in pattern.labels)
+    labels_b = g.labels_b if labeled else None
 
-    def make_leaf(adj, state):
-        state["count"] = 0
+    def leaf(vs, adj, counters):
+        counters["isomorphism"] += 1
+        label_of = labels_b.value if labels_b is not None else None
+        return Counter(matches=count_pattern_in_set(vs, adj, pattern, label_of))
 
-        def leaf(vs, counters):
-            counters["isomorphism"] += 1
-            state["count"] += count_pattern_in_set(vs, adj, pattern, label_of)
-
-        return leaf
-
-    return dfs_run(
-        edges, edges_pdf, pattern.n, make_leaf,
-        lambda states: sum(s.get("count", 0) for s in states),
-        budget,
-    )
+    m = dfs_run(g, pattern.n, leaf, budget)
+    m.result = m.result["matches"]
+    return m
 
 
 def dfs_fsm(
-    edges: DataFrame,
-    edges_pdf: pd.DataFrame,
-    labels_pdf: pd.DataFrame,
+    g: SparkGraph,
     threshold: int,
     max_edges: int = 3,
     budget: Optional[int] = _BUDGET_DEFAULT,
@@ -238,7 +188,7 @@ def dfs_fsm(
     labeled pattern up to ``max_edges`` edges are aggregated; the
     threshold is applied at the end of each size, with anti-monotone
     pruning between sizes."""
-    label_of = dict(zip(labels_pdf.v.astype(int), labels_pdf.label.astype(int)))
+    labels_b = g.labels_b
     m = BaselineMetrics()
     frequent_final: dict[str, int] = {}
     allowed: Optional[set[str]] = None  # frequent codes of previous size
@@ -246,64 +196,44 @@ def dfs_fsm(
     for ne in range(1, max_edges + 1):
         prev_allowed = allowed
 
-        def make_leaf(adj, state):
-            # enumerate edge-sets of size ne via connected vertex sets:
-            # a leaf is a connected vertex set; expand to its edge
-            # subsets of size ne that span it
-            import itertools
+        def leaf(vs, adj, counters):
+            # a leaf is a connected vertex set; its embeddings are the
+            # connected ne-edge subsets of its edges that span it. Each
+            # adds its (code, orbit, vertex) MNI domain entries.
+            label_of = labels_b.value
+            pairs = [
+                (vs[i], vs[j])
+                for i in range(len(vs))
+                for j in range(i + 1, len(vs))
+                if vs[j] in adj.get(vs[i], ())
+            ]
+            out = Counter()
+            for es in itertools.combinations(pairs, ne):
+                if len({v for e in es for v in e}) != len(vs):
+                    continue
+                eset = frozenset((min(a, b), max(a, b)) for a, b in es)
+                if not _connected_eset(eset):
+                    continue
+                counters["explored"] += 1
+                counters["isomorphism"] += 1
+                code, mapped, orbits = encode_labeled_edge_embedding(eset, label_of)
+                if prev_allowed is not None and not any(
+                    sub in prev_allowed
+                    for sub in _subcodes(eset, label_of, counters)
+                ):
+                    continue
+                out.update((code, orb, v) for orb, v in zip(orbits, mapped))
+            return out
 
-            def leaf(vs, counters):
-                pairs = [
-                    (vs[i], vs[j])
-                    for i in range(len(vs))
-                    for j in range(i + 1, len(vs))
-                    if vs[j] in adj.get(vs[i], ())
-                ]
-                for es in itertools.combinations(pairs, ne):
-                    used = {v for e in es for v in e}
-                    if len(used) != len(vs):
-                        continue
-                    eset = frozenset(
-                        (min(a, b), max(a, b)) for a, b in es
-                    )
-                    if not _connected_eset(eset):
-                        continue
-                    counters["explored"] += 1
-                    counters["isomorphism"] += 1
-                    code, mapped, orbits = encode_labeled_edge_embedding(
-                        eset, label_of
-                    )
-                    if prev_allowed is not None and not any(
-                        sub in prev_allowed
-                        for sub in _subcodes(eset, label_of, counters)
-                    ):
-                        continue
-                    doms = state.setdefault(code, {})
-                    for orb, v in zip(orbits, mapped):
-                        doms.setdefault(orb, set()).add(v)
-
-            return leaf
-
-        def finalize(states):
-            merged: dict[str, dict[int, set]] = {}
-            for s in states:
-                for code, doms in s.items():
-                    tgt = merged.setdefault(code, {})
-                    for orb, vs in doms.items():
-                        tgt.setdefault(orb, set()).update(vs)
-            return {
-                code: min(len(vs) for vs in doms.values())
-                for code, doms in merged.items()
-            }
-
-        nverts = ne + 1  # max vertices for an ne-edge connected pattern
-        res = dfs_run(
-            edges, edges_pdf, nverts, make_leaf, finalize, budget, all_sizes=True
-        )
+        # ne + 1 = the most vertices an ne-edge connected pattern has
+        res = dfs_run(g, ne + 1, leaf, budget, all_sizes=True)
         m.explored += res.explored
         m.canonicality += res.canonicality
         m.isomorphism += res.isomorphism
-        supports: dict[str, int] = res.result  # type: ignore[assignment]
+        domains = Counter((code, orb) for code, orb, _ in res.result)
+        supports: dict[str, int] = {}
+        for (code, _), n in domains.items():
+            supports[code] = min(n, supports.get(code, n))
         freq = {c: s for c, s in supports.items() if s >= threshold}
         if ne >= 2:
             frequent_final.update(freq)

@@ -11,14 +11,20 @@ paper: 3-clique counting and labeled-p2 (triangle) matching.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 
 from ..core.pattern import Pattern
 from .common import BaselineMetrics
 
+if TYPE_CHECKING:
+    from ..harness import SparkGraph
 
-def gminer_triangle_count(edges: DataFrame) -> BaselineMetrics:
+
+def gminer_triangle_count(g: SparkGraph) -> BaselineMetrics:
     """Purpose-built 3-clique counting over per-vertex tasks.
 
     Faithful to G-Miner's cost structure: a task for vertex ``v``
@@ -27,9 +33,7 @@ def gminer_triangle_count(edges: DataFrame) -> BaselineMetrics:
     into deg-many tasks, the data blow-up the paper attributes to
     G-Miner's task queue) — and the triangle counting itself is local
     per-task computation over those shipped lists."""
-    import numpy as np
-    import pandas as pd
-
+    edges = g.edges
     m = BaselineMetrics()
     # task construction: materialized, sorted adjacency list per vertex
     tasks = edges.groupBy("src").agg(
@@ -73,9 +77,7 @@ def gminer_triangle_count(edges: DataFrame) -> BaselineMetrics:
     return m
 
 
-def gminer_match_labeled_triangle(
-    edges: DataFrame, labels: DataFrame, pattern: Pattern
-) -> BaselineMetrics:
+def gminer_match_labeled_triangle(g: SparkGraph, pattern: Pattern) -> BaselineMetrics:
     """Purpose-built labeled-triangle (p2) matching.
 
     G-Miner pre-indexes vertices by label during graph loading; the
@@ -85,6 +87,7 @@ def gminer_match_labeled_triangle(
     if pattern.n != 3 or len(pattern.edges) != 3:
         raise ValueError("G-Miner's matching app only supports labeled triangles")
     la, lb, lc = (pattern.labels[v] for v in range(3))
+    edges, labels = g.edges, g.labels
     m = BaselineMetrics()
     # preprocessing: label index
     index = labels.groupBy("label").agg(F.collect_list("v").alias("vs")).cache()

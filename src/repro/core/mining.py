@@ -65,24 +65,17 @@ def count_motifs(
     return out
 
 
-def count_cliques(edges: DataFrame, k: int, symmetry_breaking: bool = True) -> int:
+def count_cliques(edges: DataFrame, k: int) -> int:
     """Number of k-cliques (edge- and vertex-induced coincide)."""
-    return count_matches(edges, clique(k), symmetry_breaking=symmetry_breaking)
+    return count_matches(edges, clique(k))
 
 
 def match_pattern(
-    edges: DataFrame,
-    pattern: Pattern,
-    labels: Optional[DataFrame] = None,
-    induced: bool = False,
-    symmetry_breaking: bool = True,
+    edges: DataFrame, pattern: Pattern, labels: Optional[DataFrame] = None
 ) -> int:
     """Count matches of an arbitrary (possibly labeled/constrained)
     pattern (Fig. 4d)."""
-    return count_matches(
-        edges, pattern, labels=labels, induced=induced,
-        symmetry_breaking=symmetry_breaking,
-    )
+    return count_matches(edges, pattern, labels=labels)
 
 
 def exists_pattern(

@@ -135,9 +135,6 @@ class Pattern:
             sorted(b if a == u else a for a, b in self.anti_edges if u in (a, b))
         )
 
-    def get_label(self, u: int):
-        return self.labels[u]
-
     def are_connected(self, a: int, b: int) -> bool:
         return _norm_edge(a, b) in self.edges
 
@@ -185,11 +182,6 @@ class Pattern:
             self.labels,
             self.anti_vertices,
         )
-
-    def add_label(self, u: int, label) -> "Pattern":
-        lab = list(self.labels)
-        lab[u] = label
-        return Pattern.of(self.n, self.edges, self.anti_edges, lab, self.anti_vertices)
 
     def with_labels(self, labels: Sequence) -> "Pattern":
         return Pattern.of(self.n, self.edges, self.anti_edges, labels, self.anti_vertices)
@@ -261,9 +253,6 @@ class Pattern:
         """This pattern relabeled to its canonical form; isomorphic
         patterns have equal canonical forms."""
         return self._relabel(self._canonical_perm())
-
-    def is_isomorphic(self, other: "Pattern") -> bool:
-        return self.canonical_key() == other.canonical_key()
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
         parts = [f"n={self.n}", f"e={sorted(self.edges)}"]

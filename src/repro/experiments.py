@@ -93,7 +93,7 @@ def _named_motifs(k: int, counts: dict) -> dict[str, int]:
 def _motifs(k: int) -> dict[str, Thunk]:
     def bfs_run(mode):
         return lambda sg: _named_motifs(k, bfs.bfs_count_motifs(
-            sg.edges, sg.graph.edges_pdf, k, mode=mode, budget=BASELINE_BUDGET).result)
+            sg, k, mode=mode, budget=BASELINE_BUDGET).result)
 
     return {
         "PRG": lambda sg: mining.count_motifs(sg.edges, k),
@@ -101,24 +101,23 @@ def _motifs(k: int) -> dict[str, Thunk]:
         "ABQ": bfs_run("abq"),
         "RS": bfs_run("rs"),
         "FCL": lambda sg: _named_motifs(k, dfs.dfs_count_motifs(
-            sg.edges, sg.graph.edges_pdf, k, budget=BASELINE_BUDGET).result),
+            sg, k, budget=BASELINE_BUDGET).result),
     }
 
 
 def _cliques(k: int) -> dict[str, Thunk]:
     def bfs_run(mode):
         return lambda sg: bfs.bfs_count_cliques(
-            sg.edges, sg.graph.edges_pdf, k, mode=mode, budget=BASELINE_BUDGET).result
+            sg, k, mode=mode, budget=BASELINE_BUDGET).result
 
     impls = {
         "PRG": lambda sg: mining.count_cliques(sg.edges, k),
         "ABQ": bfs_run("abq"),
         "RS": bfs_run("rs"),
-        "FCL": lambda sg: dfs.dfs_count_cliques(
-            sg.edges, sg.graph.edges_pdf, k, budget=BASELINE_BUDGET).result,
+        "FCL": lambda sg: dfs.dfs_count_cliques(sg, k, budget=BASELINE_BUDGET).result,
     }
     if k == 3:
-        impls["GM"] = lambda sg: purpose.gminer_triangle_count(sg.edges).result
+        impls["GM"] = lambda sg: purpose.gminer_triangle_count(sg).result
     return impls
 
 
@@ -132,15 +131,12 @@ def _fsm(tau: int) -> dict[str, Thunk]:
     return {
         "PRG": prg(True),
         "PRG-U": prg(False),
-        "ABQ": lambda sg: bfs.bfs_fsm(
-            sg.edges, sg.graph.edges_pdf, sg.graph.labels_pdf, tau,
-            budget=BASELINE_BUDGET).result,
+        "ABQ": lambda sg: bfs.bfs_fsm(sg, tau, budget=BASELINE_BUDGET).result,
         # DFS budgets are per task (the worker-memory analog); a small
         # per-task budget makes resource exhaustion report quickly
-        # instead of grinding 64 tasks to their full individual budgets.
+        # instead of grinding every task to its full individual budget.
         "FCL": lambda sg: dfs.dfs_fsm(
-            sg.edges, sg.graph.edges_pdf, sg.graph.labels_pdf, tau,
-            budget=BASELINE_BUDGET // 64).result,
+            sg, tau, budget=BASELINE_BUDGET // dfs.TASKS).result,
     }
 
 
@@ -149,16 +145,13 @@ def _match(pname: str) -> dict[str, Thunk]:
     # 5-vertex patterns make the pattern-oblivious DFS enumerate all
     # connected 5-sets — tens of millions even on MI-lite; the small
     # per-task budget reports the blow-up as '—'
-    budget = BASELINE_BUDGET if pat.n <= 4 else BASELINE_BUDGET // 64
+    budget = BASELINE_BUDGET if pat.n <= 4 else BASELINE_BUDGET // dfs.TASKS
     impls = {
         "PRG": lambda sg: count_matches(sg.edges, pat, labels=sg.labels),
-        "FCL": lambda sg: dfs.dfs_match_pattern(
-            sg.edges, sg.graph.edges_pdf, pat,
-            labels_pdf=sg.graph.labels_pdf, budget=budget).result,
+        "FCL": lambda sg: dfs.dfs_match_pattern(sg, pat, budget=budget).result,
     }
     if pat is P2:  # G-Miner's matching app is specific to labeled p2
-        impls["GM"] = lambda sg: purpose.gminer_match_labeled_triangle(
-            sg.edges, sg.labels, P2).result
+        impls["GM"] = lambda sg: purpose.gminer_match_labeled_triangle(sg, P2).result
     return impls
 
 
@@ -184,14 +177,14 @@ def _profiles(k: int, motifs: bool) -> dict[str, Thunk]:
 
     def bfs_run(mode):
         fn = bfs.bfs_count_motifs if motifs else bfs.bfs_count_cliques
-        return lambda sg: _profile(fn(sg.edges, sg.graph.edges_pdf, k, mode=mode, budget=None))
+        return lambda sg: _profile(fn(sg, k, mode=mode, budget=None))
 
     fcl = dfs.dfs_count_motifs if motifs else dfs.dfs_count_cliques
     return {
         "PRG": prg,
         "ABQ": bfs_run("abq"),
         "RS": bfs_run("rs"),
-        "FCL": lambda sg: _profile(fcl(sg.edges, sg.graph.edges_pdf, k, budget=None)),
+        "FCL": lambda sg: _profile(fcl(sg, k, budget=None)),
     }
 
 

@@ -1,18 +1,23 @@
-"""Experiment harness: times table cells and renders markdown tables.
+"""Experiment harness: the loaded graph, cell timing and markdown tables.
 
-A cell is a thunk; ``run_cell`` times it and maps resource exhaustion
-(:class:`BudgetExceeded`) to the paper's '—' marker. A cell the
-reproduction does not attempt is *skipped* and rendered 'n/a'.
+A cell is a thunk over a :class:`SparkGraph`, the one loaded form of a
+data graph that every baseline and table cell takes; ``run_cell`` times
+it and maps resource exhaustion (:class:`BudgetExceeded`) to the paper's
+'—' marker. A cell the reproduction does not attempt is *skipped* and
+rendered 'n/a'.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
+import numpy as np
+from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 
-from .baseline.common import BudgetExceeded
+from .baseline.common import BudgetExceeded, adjacency_dict
 from .graph.gengraph import Graph
 
 #: Explored-embedding budget for baseline systems: the deterministic
@@ -50,11 +55,31 @@ def run_cell(fn: Callable[[], object]) -> Cell:
     return Cell(seconds=time.perf_counter() - t0, value=value)
 
 
+def check_graph(g: Graph) -> None:
+    """The graph contract the engine and the baselines assume: a
+    symmetric ``edges(src, dst)`` with no self-loop and no duplicate row,
+    and at most one label row per vertex. Raises ``ValueError``. Runs in
+    pandas on the driver copies, so it starts no Spark job."""
+    src = g.edges_pdf.src.to_numpy(dtype=np.int64)
+    dst = g.edges_pdf.dst.to_numpy(dtype=np.int64)
+    if (src == dst).any():
+        raise ValueError(f"{g.name}: self-loop at vertex {int(src[src == dst][0])}")
+    width = int(max(src.max(initial=0), dst.max(initial=0))) + 1
+    fwd = np.sort(src * width + dst)
+    if (fwd[1:] == fwd[:-1]).any():
+        raise ValueError(f"{g.name}: duplicate edge row")
+    if not np.array_equal(fwd, np.sort(dst * width + src)):
+        raise ValueError(f"{g.name}: edge table is not symmetric")
+    if g.labels_pdf is not None and g.labels_pdf.v.duplicated().any():
+        raise ValueError(f"{g.name}: a vertex has more than one label row")
+
+
 @dataclass
 class SparkGraph:
-    """A dataset loaded into the session: cached symmetric edge table,
-    optional cached label table, plus the driver-side pandas copies the
-    baselines and oracle need."""
+    """A dataset loaded into the session: the cached symmetric edge table
+    and optional cached label table, the driver-side ``graph`` they came
+    from, and per-load broadcasts of its adjacency and label map, built
+    on first use. ``unload`` drops all of them."""
 
     graph: Graph
     edges: DataFrame
@@ -62,6 +87,7 @@ class SparkGraph:
 
     @staticmethod
     def load(spark: SparkSession, g: Graph) -> "SparkGraph":
+        check_graph(g)
         edges = g.to_spark(spark).cache()
         edges.count()
         labels = g.labels_to_spark(spark)
@@ -70,7 +96,24 @@ class SparkGraph:
             labels.count()
         return SparkGraph(graph=g, edges=edges, labels=labels)
 
+    @cached_property
+    def adj_b(self) -> Broadcast:
+        """``{vertex: neighbour frozenset}``, broadcast once per load."""
+        return self._broadcast(adjacency_dict(self.graph.edges_pdf))
+
+    @cached_property
+    def labels_b(self) -> Broadcast:
+        """``{vertex: label}`` (empty when unlabeled), broadcast once per load."""
+        return self._broadcast(self.graph.label_dict())
+
+    def _broadcast(self, value) -> Broadcast:
+        return self.edges.sparkSession.sparkContext.broadcast(value)
+
     def unload(self) -> None:
+        for name in ("adj_b", "labels_b"):
+            b = self.__dict__.pop(name, None)
+            if b is not None:
+                b.destroy()
         self.edges.unpersist()
         if self.labels is not None:
             self.labels.unpersist()

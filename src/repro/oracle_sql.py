@@ -18,72 +18,62 @@ from .core.pattern import Pattern
 from .core.plan import ExplorationPlan, generate_plan
 
 
-def _conditions(plan: ExplorationPlan, symmetry_breaking: bool = True) -> list[str]:
+def _step(plan: ExplorationPlan, i: int, po: set) -> str:
+    """Step ``i`` of the plan's vertex order as one materialized CTE
+    ``s{i}``: the previous step's rows ``m`` extended by vertex ``u`` =
+    ``t.dst``, reached through an edge from ``u``'s first bound neighbour
+    and one more ``edges`` alias per further bound neighbour, with every
+    condition on ``u`` and the bound vertices."""
     p = plan.pattern
-    order = plan.vertex_order
-    conds: list[str] = []
-    bound: list[int] = []
-    po = set(plan.partial_orders) if symmetry_breaking else set()
-    for u in order:
+    bound = plan.vertex_order[:i]
+    u = plan.vertex_order[i]
+
+    def col(x: int) -> str:
+        return new if x == u else f"m.v{x}"
+
+    if not bound:
+        new, select = "t.v", f"t.v AS v{u}"
+        parts = ["(SELECT DISTINCT src AS v FROM edges) t"]
+    else:
+        new, select = "t.dst", f"m.*, t.dst AS v{u}"
         nbrs = [w for w in p.get_neighbors(u) if w in bound]
-        # adjacency beyond the spanning join in the FROM clause
-        for w in nbrs[1:]:
-            conds.append(
-                f"EXISTS (SELECT 1 FROM edges x WHERE x.src = m.v{w} AND x.dst = m.v{u})"
-            )
-        for a, b in po:
-            if (a == u and b in bound) or (b == u and a in bound):
-                conds.append(f"m.v{a} < m.v{b}")
-        for w in bound:
-            if w in nbrs or (u, w) in po or (w, u) in po:
-                continue
-            conds.append(f"m.v{u} <> m.v{w}")
-        for w in bound:
-            if p.are_anti_adjacent(u, w) and w not in p.anti_vertices:
-                conds.append(
-                    "NOT EXISTS (SELECT 1 FROM edges x "
-                    f"WHERE x.src = m.v{w} AND x.dst = m.v{u})"
-                )
-        bound.append(u)
+        parts = [f"s{i - 1} m JOIN edges t ON t.src = m.v{nbrs[0]}"]
+        parts += [f"JOIN edges c{w} ON c{w}.src = m.v{w} AND c{w}.dst = t.dst"
+                  for w in nbrs[1:]]
+    if p.labels[u] is not None:
+        parts.append(f"JOIN labels l ON l.v = {new} AND l.label = {p.labels[u]}")
+    conds = []
+    for a, b in po:
+        if (a == u and b in bound) or (b == u and a in bound):
+            conds.append(f"{col(a)} < {col(b)}")
+    for w in bound:
+        if not (p.are_connected(u, w) or (u, w) in po or (w, u) in po):
+            conds.append(f"{new} <> m.v{w}")
+        if p.are_anti_adjacent(u, w):
+            conds.append("NOT EXISTS (SELECT 1 FROM edges x "
+                         f"WHERE x.src = m.v{w} AND x.dst = {new})")
+    where = (" WHERE " + " AND ".join(conds)) if conds else ""
+    return f"s{i} AS MATERIALIZED (SELECT {select} FROM {' '.join(parts)}{where})"
+
+
+def _anti_vertex_conditions(p: Pattern) -> list[str]:
+    """No vertex outside the match is adjacent to all of an anti-vertex's
+    anti-neighbours."""
+    regs = sorted(p.regular_vertices)
+    conds = []
     for av in sorted(p.anti_vertices):
-        nbrs = [w for w in p.get_anti_neighbors(av) if w not in p.anti_vertices]
+        nbrs = p.get_anti_neighbors(av)
         inner = [f"x.src = m.v{nbrs[0]}"]
         for w in nbrs[1:]:
             inner.append(
                 "EXISTS (SELECT 1 FROM edges y "
                 f"WHERE y.src = m.v{w} AND y.dst = x.dst)"
             )
-        inner.append(
-            "x.dst NOT IN (" + ", ".join(f"m.v{v}" for v in bound) + ")"
-        )
+        inner.append("x.dst NOT IN (" + ", ".join(f"m.v{v}" for v in regs) + ")")
         conds.append(
             "NOT EXISTS (SELECT 1 FROM edges x WHERE " + " AND ".join(inner) + ")"
         )
     return conds
-
-
-def _from_clause(plan: ExplorationPlan) -> str:
-    """Spanning join over the vertex order: each vertex after the first
-    is introduced through an edge from its first bound neighbor, and
-    each labeled vertex joins the label table."""
-    p = plan.pattern
-    order = plan.vertex_order
-    v0 = order[0]
-    parts = [f"(SELECT DISTINCT src AS v FROM edges) b0"]
-    exprs = {v0: "b0.v"}
-    for u in order[1:]:
-        first = next(w for w in p.get_neighbors(u) if w in exprs)
-        parts.append(f"JOIN edges t{u} ON t{u}.src = {exprs[first]}")
-        exprs[u] = f"t{u}.dst"
-    for u in order:
-        if p.labels[u] is not None:
-            parts.append(
-                f"JOIN labels l{u} ON l{u}.v = {exprs[u]} AND l{u}.label = {p.labels[u]}"
-            )
-    select = ", ".join(
-        f"{exprs[u]} AS v{u}" for u in sorted(exprs)
-    )
-    return f"SELECT {select} FROM " + " ".join(parts)
 
 
 def matches_sql(
@@ -93,12 +83,20 @@ def matches_sql(
     plan: Optional[ExplorationPlan] = None,
 ) -> str:
     """SQL enumerating match rows (columns ``v0..`` for regular
-    vertices), one row per unique match under symmetry breaking."""
+    vertices), one row per unique match under symmetry breaking.
+
+    Each vertex of the plan's order is one ``MATERIALIZED`` CTE, so
+    DuckDB keeps the plan's join order instead of reordering the joins
+    into a star around a hub vertex."""
     plan = plan or generate_plan(pattern, induced=induced)
-    conds = _conditions(plan, symmetry_breaking)
+    p = plan.pattern
+    po = set(plan.partial_orders) if symmetry_breaking else set()
+    steps = ", ".join(_step(plan, i, po) for i in range(len(plan.vertex_order)))
+    conds = _anti_vertex_conditions(p)
     where = (" WHERE " + " AND ".join(conds)) if conds else ""
-    cols = ", ".join(f"m.v{u}" for u in sorted(plan.pattern.regular_vertices))
-    return f"SELECT {cols} FROM ({_from_clause(plan)}) m{where}"
+    cols = ", ".join(f"m.v{u}" for u in sorted(p.regular_vertices))
+    return (f"WITH {steps} SELECT {cols} "
+            f"FROM s{len(plan.vertex_order) - 1} m{where}")
 
 
 def count_sql(

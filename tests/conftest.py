@@ -1,10 +1,10 @@
 """Shared fixtures for the test suite.
 
 ``spark`` comes from the root conftest (one session-scoped local
-session). Here we add cached tiny graphs and a pattern zoo used across
-matcher/baseline/oracle tests, plus a session-wide shuffle-partition
-reduction — the data is tiny and 64-partition shuffles would be pure
-scheduler overhead.
+session). Here we add tiny graphs, loaded as ``SparkGraph``s, and a
+pattern zoo used across matcher/baseline/oracle tests, plus a
+session-wide shuffle-partition reduction — the data is tiny and
+64-partition shuffles would be pure scheduler overhead.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.pattern import Pattern, chain, clique, star
 from repro.graph.gengraph import Graph, from_edge_list, powerlaw_graph, with_labels
+from repro.harness import SparkGraph
 from repro.patterns_eval import P1, P2, P3, P4, P5, P6, P7, P8
 from repro.reference import RefGraph
 
@@ -47,11 +48,6 @@ def small_labeled() -> Graph:
     return with_labels(powerlaw_graph(70, 180, seed=6, name="small-lab"), 3, seed=6)
 
 
-@pytest.fixture(scope="session")
-def medium_unlabeled() -> Graph:
-    return powerlaw_graph(200, 700, seed=8, name="medium")
-
-
 #: Tiny graphs that stand in for every dataset when the whole paper-table
 #: catalog runs (tests/test_catalog.py): they hold 4- and 5-cliques and
 #: labeled p2 triangles, yet the pattern-oblivious baselines enumerate
@@ -66,38 +62,19 @@ def tiny_labeled() -> Graph:
     return with_labels(powerlaw_graph(30, 80, seed=2, name="tiny-lab"), 3, seed=2)
 
 
-def _loaded(spark, g: Graph):
-    edges = g.to_spark(spark).cache()
-    edges.count()
-    labels = g.labels_to_spark(spark)
-    if labels is not None:
-        labels = labels.cache()
-        labels.count()
-    return edges, labels
+@pytest.fixture(scope="session")
+def fig6(sparks, fig6_graph) -> SparkGraph:
+    return SparkGraph.load(sparks, fig6_graph)
 
 
 @pytest.fixture(scope="session")
-def fig6(sparks, fig6_graph):
-    edges, _ = _loaded(sparks, fig6_graph)
-    return fig6_graph, edges
+def small(sparks, small_unlabeled) -> SparkGraph:
+    return SparkGraph.load(sparks, small_unlabeled)
 
 
 @pytest.fixture(scope="session")
-def small(sparks, small_unlabeled):
-    edges, _ = _loaded(sparks, small_unlabeled)
-    return small_unlabeled, edges
-
-
-@pytest.fixture(scope="session")
-def small_lab(sparks, small_labeled):
-    edges, labels = _loaded(sparks, small_labeled)
-    return small_labeled, edges, labels
-
-
-@pytest.fixture(scope="session")
-def medium(sparks, medium_unlabeled):
-    edges, _ = _loaded(sparks, medium_unlabeled)
-    return medium_unlabeled, edges
+def small_lab(sparks, small_labeled) -> SparkGraph:
+    return SparkGraph.load(sparks, small_labeled)
 
 
 def ref_of(g: Graph) -> RefGraph:

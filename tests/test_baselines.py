@@ -16,6 +16,7 @@ from repro.baseline.common import (
     encode_induced,
     encode_labeled_edge_embedding,
     is_canonical_embedding,
+    is_clique,
 )
 from repro.baseline.dfs import (
     dfs_count_cliques,
@@ -30,6 +31,7 @@ from repro.baseline.purpose import (
 from repro.core.matcher import count_matches
 from repro.core.mining import count_cliques, count_motifs, fsm, motif_name
 from repro.core.pattern import Pattern, chain, clique, star
+from repro.harness import SparkGraph
 from repro.patterns_eval import P1, P2, P5
 
 from .conftest import ref_of
@@ -72,6 +74,11 @@ class TestCommon:
         # endpoints share a label -> same orbit; center alone
         assert len(set(orbits)) == 2
 
+    def test_is_clique(self, fig6_graph):
+        adj = adjacency_dict(fig6_graph.edges_pdf)
+        assert is_clique((0, 3, 5), adj)
+        assert not is_clique((0, 1, 3, 5), adj)
+
     def test_count_pattern_in_set(self, fig6_graph):
         adj = adjacency_dict(fig6_graph.edges_pdf)
         assert count_pattern_in_set((0, 3, 5), adj, clique(3)) == 1
@@ -79,18 +86,38 @@ class TestCommon:
         assert count_pattern_in_set((0, 1, 2), adj, clique(3)) == 0
 
 
+class TestLoadedGraph:
+    def test_adjacency_broadcast_once_per_load(self, sparks, fig6_graph, monkeypatch):
+        """Two baseline runs on one loaded graph share its one adjacency
+        broadcast, and unloading the graph destroys it."""
+        from pyspark import SparkContext
+
+        made = []
+        broadcast = SparkContext.broadcast
+
+        def counted(sc, value):
+            made.append(broadcast(sc, value))
+            return made[-1]
+
+        monkeypatch.setattr(SparkContext, "broadcast", counted)
+        g = SparkGraph.load(sparks, fig6_graph)
+        assert bfs_count_cliques(g, 3).result == dfs_count_cliques(g, 3).result == 2
+        assert len(made) == 1
+        assert made[0]._jbroadcast.isValid()
+        g.unload()
+        assert not made[0]._jbroadcast.isValid()
+
+
 class TestBfsBaseline:
     @pytest.mark.parametrize("mode", ["abq", "rs"])
     def test_clique_counts_match_engine(self, mode, small):
-        graph, edges = small
-        m = bfs_count_cliques(edges, graph.edges_pdf, 4, mode=mode)
-        assert m.result == count_cliques(edges, 4)
+        m = bfs_count_cliques(small, 4, mode=mode)
+        assert m.result == count_cliques(small.edges, 4)
 
     @pytest.mark.parametrize("mode", ["abq", "rs"])
     def test_motif_counts_match_engine(self, mode, small):
-        graph, edges = small
-        m = bfs_count_motifs(edges, graph.edges_pdf, 3, mode=mode)
-        prg = count_motifs(edges, 3)
+        m = bfs_count_motifs(small, 3, mode=mode)
+        prg = count_motifs(small.edges, 3)
         got = {}
         from repro.core.pattern import generate_all_vertex_induced
 
@@ -101,48 +128,41 @@ class TestBfsBaseline:
     def test_blowup_structure(self, small):
         """Figure 1b shape: pattern-oblivious exploration touches far
         more embeddings than there are results, and checks every one."""
-        graph, edges = small
-        m = bfs_count_cliques(edges, graph.edges_pdf, 4, mode="abq")
+        m = bfs_count_cliques(small, 4, mode="abq")
         assert m.explored > 5 * m.result
         assert m.canonicality > 0 and m.isomorphism == m.result
 
     def test_rs_explores_more_than_abq(self, small):
         """Figure 1c shape: no mid-stream canonical pruning (RStream)
         explores far more than level-pruned BFS (Arabesque)."""
-        graph, edges = small
-        abq = bfs_count_motifs(edges, graph.edges_pdf, 3, mode="abq")
-        rs = bfs_count_motifs(edges, graph.edges_pdf, 3, mode="rs")
+        abq = bfs_count_motifs(small, 3, mode="abq")
+        rs = bfs_count_motifs(small, 3, mode="rs")
         assert rs.explored > abq.explored
         assert rs.result == abq.result
 
     def test_budget_exceeded(self, small):
-        graph, edges = small
         with pytest.raises(BudgetExceeded):
-            bfs_count_motifs(edges, graph.edges_pdf, 4, budget=100)
+            bfs_count_motifs(small, 4, budget=100)
 
     def test_fsm_matches_engine(self, small_lab):
-        graph, edges, labels = small_lab
         tau = 8
-        m = bfs_fsm(edges, graph.edges_pdf, graph.labels_pdf, tau)
-        prg = {str(k): v for k, v in fsm(edges, labels, tau).by_key().items()}
+        m = bfs_fsm(small_lab, tau)
+        prg = {str(k): v for k, v in fsm(small_lab.edges, small_lab.labels, tau).by_key().items()}
         assert m.result == prg
 
     def test_fsm_charges_work(self, small_lab):
-        graph, edges, labels = small_lab
-        m = bfs_fsm(edges, graph.edges_pdf, graph.labels_pdf, threshold=8)
+        m = bfs_fsm(small_lab, threshold=8)
         assert m.explored > 0 and m.isomorphism > 0
 
 
 class TestDfsBaseline:
     def test_clique_counts_match_engine(self, small):
-        graph, edges = small
-        m = dfs_count_cliques(edges, graph.edges_pdf, 4)
-        assert m.result == count_cliques(edges, 4)
+        m = dfs_count_cliques(small, 4)
+        assert m.result == count_cliques(small.edges, 4)
 
     def test_motif_counts_match_engine(self, small):
-        graph, edges = small
-        m = dfs_count_motifs(edges, graph.edges_pdf, 4)
-        prg = count_motifs(edges, 4)
+        m = dfs_count_motifs(small, 4)
+        prg = count_motifs(small.edges, 4)
         from repro.core.pattern import generate_all_vertex_induced
 
         got = {
@@ -153,55 +173,45 @@ class TestDfsBaseline:
 
     @pytest.mark.parametrize("pat", [P1, P5, clique(3), star(4)])
     def test_match_pattern(self, pat, small):
-        graph, edges = small
-        m = dfs_match_pattern(edges, graph.edges_pdf, pat)
-        assert m.result == count_matches(edges, pat)
+        m = dfs_match_pattern(small, pat)
+        assert m.result == count_matches(small.edges, pat)
 
     def test_match_labeled_pattern(self, small_lab):
-        graph, edges, labels = small_lab
-        m = dfs_match_pattern(edges, graph.edges_pdf, P2, labels_pdf=graph.labels_pdf)
-        assert m.result == count_matches(edges, P2, labels=labels)
+        m = dfs_match_pattern(small_lab, P2)
+        assert m.result == count_matches(small_lab.edges, P2, labels=small_lab.labels)
 
     def test_explored_exceeds_results_for_cliques(self, small):
         """Figure 1b: Fractal explores ~188x the 4-clique count."""
-        graph, edges = small
-        m = dfs_count_cliques(edges, graph.edges_pdf, 4)
+        m = dfs_count_cliques(small, 4)
         assert m.explored > 3 * max(m.result, 1)
 
     def test_budget_exceeded(self, small):
-        graph, edges = small
         with pytest.raises(BudgetExceeded):
-            dfs_count_motifs(edges, graph.edges_pdf, 4, budget=50)
+            dfs_count_motifs(small, 4, budget=50)
 
     def test_fsm_matches_engine(self, small_lab):
-        graph, edges, labels = small_lab
         tau = 8
-        m = dfs_fsm(edges, graph.edges_pdf, graph.labels_pdf, tau)
-        prg = {str(k): v for k, v in fsm(edges, labels, tau).by_key().items()}
+        m = dfs_fsm(small_lab, tau)
+        prg = {str(k): v for k, v in fsm(small_lab.edges, small_lab.labels, tau).by_key().items()}
         assert m.result == prg
 
 
 class TestGMinerBaseline:
     def test_triangles_match_engine(self, small):
-        graph, edges = small
-        m = gminer_triangle_count(edges)
-        assert m.result == count_cliques(edges, 3)
+        m = gminer_triangle_count(small)
+        assert m.result == count_cliques(small.edges, 3)
 
     def test_triangles_fig6(self, fig6):
-        graph, edges = fig6
-        assert gminer_triangle_count(edges).result == 2
+        assert gminer_triangle_count(fig6).result == 2
 
     def test_labeled_p2_matches_engine(self, small_lab):
-        graph, edges, labels = small_lab
-        m = gminer_match_labeled_triangle(edges, labels, P2)
-        assert m.result == count_matches(edges, P2, labels=labels)
+        m = gminer_match_labeled_triangle(small_lab, P2)
+        assert m.result == count_matches(small_lab.edges, P2, labels=small_lab.labels)
 
     def test_task_materialization_counted(self, small):
-        graph, edges = small
-        m = gminer_triangle_count(edges)
-        assert m.extras["tasks"] == graph.n_vertices
+        m = gminer_triangle_count(small)
+        assert m.extras["tasks"] == small.graph.n_vertices
 
     def test_rejects_non_triangle(self, small_lab):
-        graph, edges, labels = small_lab
         with pytest.raises(ValueError):
-            gminer_match_labeled_triangle(edges, labels, star(4).with_labels([1, 2, 3, 1]))
+            gminer_match_labeled_triangle(small_lab, star(4).with_labels([1, 2, 3, 1]))

@@ -85,6 +85,22 @@ class TestSparkGraph:
         assert sg.labels is None
         sg.unload()
 
+    @pytest.mark.parametrize("edges,labels,error", [
+        ([(0, 1), (1, 0), (1, 2)], None, "not symmetric"),
+        ([(0, 1), (1, 0), (1, 1)], None, "self-loop"),
+        ([(0, 1), (1, 0), (0, 1), (1, 0)], None, "duplicate edge"),
+        ([(0, 1), (1, 0)], [(0, 1), (1, 1), (1, 2)], "more than one label"),
+    ], ids=["asymmetric", "self-loop", "duplicate-edge", "two-labels"])
+    def test_load_rejects_graph_contract_violation(self, sparks, edges, labels, error):
+        import pandas as pd
+
+        from repro.graph.gengraph import Graph
+
+        g = Graph("bad", pd.DataFrame(edges, columns=["src", "dst"]),
+                  None if labels is None else pd.DataFrame(labels, columns=["v", "label"]))
+        with pytest.raises(ValueError, match=error):
+            SparkGraph.load(sparks, g)
+
 
 class TestTable2:
     def test_runs_and_renders(self):

@@ -24,16 +24,14 @@ from .conftest import ref_of
 
 class TestMotifCounting:
     def test_3motifs_vs_reference(self, small):
-        graph, edges = small
-        got = count_motifs(edges, 3)
-        rg = ref_of(graph)
+        got = count_motifs(small.edges, 3)
+        rg = ref_of(small.graph)
         assert got["triangle"] == ref_count(rg, clique(3), induced=True)
         assert got["wedge"] == ref_count(rg, star(3), induced=True)
 
     def test_4motifs_vs_reference(self, small):
-        graph, edges = small
-        got = count_motifs(edges, 4)
-        rg = ref_of(graph)
+        got = count_motifs(small.edges, 4)
+        rg = ref_of(small.graph)
         assert len(got) == 6
         for p in generate_all_vertex_induced(4):
             assert got[motif_name(p)] == ref_count(rg, p, induced=True)
@@ -41,94 +39,78 @@ class TestMotifCounting:
     def test_3motif_sum_is_connected_triples(self, small):
         """Every connected 3-set is exactly one motif: wedge+triangle =
         #connected 3-sets (cross-checked via the DFS enumerator)."""
-        graph, edges = small
         from repro.baseline.dfs import dfs_count_motifs
 
-        got = count_motifs(edges, 3)
-        m = dfs_count_motifs(edges, graph.edges_pdf, 3)
+        got = count_motifs(small.edges, 3)
+        m = dfs_count_motifs(small, 3)
         assert sum(got.values()) == sum(m.result.values())
 
     def test_motifs_without_symmetry_breaking_match(self, fig6):
-        graph, edges = fig6
-        assert count_motifs(edges, 3) == count_motifs(
-            edges, 3, symmetry_breaking=False
+        assert count_motifs(fig6.edges, 3) == count_motifs(
+            fig6.edges, 3, symmetry_breaking=False
         )
 
     def test_3motifs_oracle(self, small):
-        graph, edges = small
-        got = count_motifs(edges, 3)
-        cnt_df = edges.sparkSession.createDataFrame(
+        got = count_motifs(small.edges, 3)
+        cnt_df = small.edges.sparkSession.createDataFrame(
             [(int(got["triangle"]),)], "cnt long"
         )
         assert_equivalent(
-            cnt_df, count_sql(clique(3), induced=True), edges=graph.edges_pdf
+            cnt_df, count_sql(clique(3), induced=True), edges=small.graph.edges_pdf
         )
 
 
 class TestCliqueCounting:
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_vs_reference(self, k, small):
-        graph, edges = small
-        assert count_cliques(edges, k) == ref_count(ref_of(graph), clique(k))
+        assert count_cliques(small.edges, k) == ref_count(ref_of(small.graph), clique(k))
 
     def test_vs_networkx(self, small):
         import networkx as nx
-
-        graph, edges = small
-        g = nx.Graph(graph.edge_tuples())
+        g = nx.Graph(small.graph.edge_tuples())
         want = sum(1 for c in nx.enumerate_all_cliques(g) if len(c) == 4)
-        assert count_cliques(edges, 4) == want
+        assert count_cliques(small.edges, 4) == want
 
     def test_clique_edge_equals_vertex_induced(self, small):
-        graph, edges = small
-        assert count_cliques(edges, 4) == count_matches(
-            edges, clique(4), induced=True
+        assert count_cliques(small.edges, 4) == count_matches(
+            small.edges, clique(4), induced=True
         )
 
 
 class TestExistence:
     def test_existing_pattern_found(self, small):
-        graph, edges = small
-        assert exists_pattern(edges, clique(3))
+        assert exists_pattern(small.edges, clique(3))
 
     def test_absent_pattern_not_found(self, fig6):
-        graph, edges = fig6
-        assert not exists_pattern(edges, clique(4))
+        assert not exists_pattern(fig6.edges, clique(4))
 
     @pytest.mark.parametrize("k", [6, 10, 14])
     def test_large_clique_existence_terminates(self, k, fig6):
         from repro.core.mining import exists_clique
-
-        graph, edges = fig6
-        assert not exists_clique(edges, k)
+        assert not exists_clique(fig6.edges, k)
 
     def test_existence_matches_count(self, small):
-        graph, edges = small
         for k in (3, 4, 5, 6):
-            assert exists_pattern(edges, clique(k)) == (
-                count_cliques(edges, k) > 0
+            assert exists_pattern(small.edges, clique(k)) == (
+                count_cliques(small.edges, k) > 0
             )
 
     def test_staged_existence_agrees_with_counts(self, small):
         from repro.core.mining import exists_clique
-
-        graph, edges = small
         for k in (3, 5, 7):
-            assert exists_clique(edges, k) == (count_cliques(edges, k) > 0)
+            assert exists_clique(small.edges, k) == (count_cliques(small.edges, k) > 0)
 
 
 class TestClusteringCoefficient:
     def test_cc_value(self, small):
-        graph, edges = small
-        rg = ref_of(graph)
+        rg = ref_of(small.graph)
         want = 3.0 * ref_count(rg, clique(3)) / ref_count(rg, star(3))
-        assert global_clustering_coefficient(edges) == pytest.approx(want)
+        assert global_clustering_coefficient(small.edges) == pytest.approx(want)
 
     def test_cc_exceeds(self, small):
-        graph, edges = small
-        cc = global_clustering_coefficient(edges)
-        assert cc_exceeds(edges, cc / 2)
-        assert not cc_exceeds(edges, cc * 2)
+        cc = global_clustering_coefficient(small.edges)
+        assert cc_exceeds(small.edges, cc / 2)
+        assert not cc_exceeds(small.edges, cc * 2)
 
     def test_cc_empty_wedges(self, sparks):
         import pandas as pd
@@ -142,42 +124,36 @@ class TestClusteringCoefficient:
 class TestFSM:
     @pytest.mark.parametrize("tau", [10, 5])
     def test_vs_bruteforce(self, tau, small_lab):
-        graph, edges, labels = small_lab
-        got = fsm(edges, labels, threshold=tau)
-        want = ref_fsm(RefGraph(graph.edge_tuples(), graph.label_dict()), tau)
+        got = fsm(small_lab.edges, small_lab.labels, threshold=tau)
+        want = ref_fsm(RefGraph(small_lab.graph.edge_tuples(), small_lab.graph.label_dict()), tau)
         assert got.by_key() == want
 
     def test_every_frequent_meets_threshold(self, small_lab):
-        graph, edges, labels = small_lab
-        got = fsm(edges, labels, threshold=8)
+        got = fsm(small_lab.edges, small_lab.labels, threshold=8)
         assert all(s >= 8 for s in got.frequent.values())
         assert all(2 <= len(p.edges) <= 3 for p in got.frequent)
 
     def test_threshold_monotonicity(self, small_lab):
         """Higher threshold -> subset of frequent patterns."""
-        graph, edges, labels = small_lab
-        lo = fsm(edges, labels, threshold=6).by_key()
-        hi = fsm(edges, labels, threshold=12).by_key()
+        lo = fsm(small_lab.edges, small_lab.labels, threshold=6).by_key()
+        hi = fsm(small_lab.edges, small_lab.labels, threshold=12).by_key()
         assert set(hi) <= set(lo)
         for k, s in hi.items():
             assert lo[k] == s
 
     def test_huge_threshold_empty(self, small_lab):
-        graph, edges, labels = small_lab
-        got = fsm(edges, labels, threshold=10**6)
+        got = fsm(small_lab.edges, small_lab.labels, threshold=10**6)
         assert got.frequent == {}
 
     def test_max_edges_2_only_wedges(self, small_lab):
-        graph, edges, labels = small_lab
-        got = fsm(edges, labels, threshold=8, max_edges=2)
+        got = fsm(small_lab.edges, small_lab.labels, threshold=8, max_edges=2)
         assert all(len(p.edges) == 2 for p in got.frequent)
 
     def test_prgu_fsm_identical(self, small_lab):
         """Figure 10: disabling symmetry breaking changes work, not
         results — also for FSM supports."""
-        graph, edges, labels = small_lab
-        a = fsm(edges, labels, threshold=8).by_key()
-        b = fsm(edges, labels, threshold=8, symmetry_breaking=False).by_key()
+        a = fsm(small_lab.edges, small_lab.labels, threshold=8).by_key()
+        b = fsm(small_lab.edges, small_lab.labels, threshold=8, symmetry_breaking=False).by_key()
         assert a == b
 
     def test_supports_take_one_search_and_one_action(self, small_lab, monkeypatch):
@@ -188,8 +164,6 @@ class TestFSM:
         from pyspark.sql.classic.dataframe import DataFrame
 
         from repro.core import mining
-
-        graph, edges, labels = small_lab
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -205,11 +179,11 @@ class TestFSM:
             monkeypatch.setattr(
                 DataFrame, action, counted("action", getattr(DataFrame, action))
             )
-        assert mining._discover_supports(edges, labels, chain(4))
+        assert mining._discover_supports(small_lab.edges, small_lab.labels, chain(4))
         assert calls["canonical"] <= 1
         assert calls["_iso_map"] == 0
         assert calls["action"] == 1
-        got = fsm(edges, labels, threshold=8, max_edges=3)
+        got = fsm(small_lab.edges, small_lab.labels, threshold=8, max_edges=3)
         assert got.frequent
         assert all(p == p.canonical() for p in got.frequent)
 
@@ -217,7 +191,6 @@ class TestFSM:
         "bad", [{"labels": None}, {"max_edges": 1}], ids=["no-labels", "max-edges-1"]
     )
     def test_bad_input_raises(self, bad, small_lab):
-        graph, edges, labels = small_lab
-        kwargs = {"labels": labels, "threshold": 8, **bad}
+        kwargs = {"labels": small_lab.labels, "threshold": 8, **bad}
         with pytest.raises(ValueError):
-            fsm(edges, **kwargs)
+            fsm(small_lab.edges, **kwargs)
