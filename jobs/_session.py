@@ -1,9 +1,12 @@
 """Shared SparkSession bootstrap for spark-submit job entrypoints.
 
 Jobs run standalone (outside pytest), so they build their own local
-session with the same conventions as conftest.py: local[*], broadcast
-joins disabled (the engine's adjacency-array joins and the baselines'
-joins exercise real shuffles), Arrow on. The console progress bar is
+session with the same conventions as conftest.py: local[*], automatic
+broadcast joins disabled (``autoBroadcastJoinThreshold=-1``, so the
+baselines' joins exercise real shuffles), Arrow on. The engine
+broadcasts ``adj`` and the label table into its joins by explicit hint,
+which overrides the threshold, and reads ``adj`` from the copy that
+``SparkGraph.load`` caches once per load. The console progress bar is
 off, so a job's stderr holds its ``[cell]`` records rather than
 progress-bar redraws.
 """

@@ -2,10 +2,12 @@
 operations (§4.3, §5.1).
 
 The exploration plan is compiled into one DataFrame pipeline over
-``adj(src, nb)``: every data vertex with its sorted neighbour array,
-built once per call from a symmetric edge table ``edges(src, dst)``
-(both directions present, no self loops, distinct). Vertices are bound
-in the plan's vertex order:
+``adj(src, nb)`` (:func:`adjacency`): every data vertex with its sorted
+neighbour array, built from a symmetric edge table ``edges(src, dst)``
+(both directions present, no self loops, distinct). For a graph loaded
+with ``harness.SparkGraph.load``, ``adj`` is built and cached once per
+load; an edge table that was never loaded builds it inside the query.
+Vertices are bound in the plan's vertex order:
 
 * the first vertex → every row of ``adj`` (patterns are connected, so an
   isolated data vertex can never match);
@@ -20,9 +22,14 @@ in the plan's vertex order:
   anti-neighbours lies outside the match.
 
 ``adj`` is joined in only for the vertices whose array a later step
-reads. Because the pipeline is derived from the plan, every produced row
-*is* a match and each unique subgraph appears exactly once — no per-row
-canonicality or isomorphism checks, the paper's core claim.
+reads. Every ``adj`` and label join broadcasts its small side by
+explicit hint, whatever the session's ``autoBroadcastJoinThreshold``:
+as Peregrine's threads share one in-memory graph and split the work by
+start vertex (§5.1), each worker holds the whole graph and the partial
+matches never shuffle. Because the pipeline is derived from the plan,
+every produced row *is* a match and each unique subgraph appears
+exactly once — no per-row canonicality or isomorphism checks, the
+paper's core claim.
 
 ``symmetry_breaking=False`` is **PRG-U** (Figure 10): the order
 predicates are dropped, every automorphic copy is produced, and counts
@@ -59,6 +66,21 @@ class MatchStats:
     matches_explored: int = 0
 
 
+def adjacency(edges: DataFrame) -> DataFrame:
+    """``adj(src, nb)``: each vertex of ``edges`` with its sorted
+    neighbour array, hash-partitioned by ``src`` into the context's
+    default parallelism (so the grouping needs no second shuffle and a
+    scan of ``adj`` runs one task per core, not one per shuffle
+    partition). ``SparkGraph.load`` caches this exact plan, so every
+    later call on a loaded edge table reads the cached copy."""
+    n = edges.sparkSession.sparkContext.defaultParallelism
+    return (
+        edges.repartition(n, "src")
+        .groupBy("src")
+        .agg(F.array_sort(F.collect_list("dst")).alias("nb"))
+    )
+
+
 def match_df(
     edges: DataFrame,
     pattern: Pattern,
@@ -80,7 +102,7 @@ def match_df(
     ):
         raise ValueError("pattern has labels but no label table was given")
 
-    adj = edges.groupBy("src").agg(F.array_sort(F.collect_list("dst")).alias("nb"))
+    adj = adjacency(edges)
     anti_nbrs = [
         [w for w in p.get_anti_neighbors(av) if w not in p.anti_vertices]
         for av in sorted(p.anti_vertices)
@@ -124,10 +146,10 @@ def match_df(
             lab = labels.where(F.col("label") == F.lit(p.labels[u])).select(
                 F.col("v").alias(_c(u))
             )
-            df = df.join(lab, on=_c(u), how="inner")
+            df = df.join(F.broadcast(lab), on=_c(u), how="inner")
         if bound and u in read:
             nb = adj.select(F.col("src").alias(_c(u)), F.col("nb").alias(_nb(u)))
-            df = df.join(nb, on=_c(u), how="inner")
+            df = df.join(F.broadcast(nb), on=_c(u), how="inner")
 
     # anti-vertex: no common neighbour of its anti-neighbours outside the match
     match = F.array(*[F.col(_c(v)) for v in order])

@@ -11,7 +11,8 @@ DataFrame matching engine:
 * :func:`exists_pattern` — Fig. 4f existence query with early
   termination (``limit(1)`` lets Spark cancel outstanding work once a
   witness is found — the dataflow analog of ``stopExploration()``);
-* :func:`global_clustering_coefficient` / :func:`cc_exceeds` — Fig. 4b;
+* :func:`cc_exceeds` — Fig. 4b: is the global clustering coefficient
+  (3 × triangles / wedges) above a bound?
 * :func:`fsm` — Fig. 4a: MNI-support frequent subgraph mining with
   dynamic label discovery and anti-monotone extension.
 """
@@ -105,21 +106,13 @@ def exists_clique(edges: DataFrame, k: int) -> bool:
     return True
 
 
-def global_clustering_coefficient(edges: DataFrame) -> float:
-    """3 × triangles / wedges, via two pattern counts (Fig. 4b uses the
-    edge-induced 3-star = wedge for the triplet count)."""
-    wedges = count_matches(edges, star(3))
-    if wedges == 0:
-        return 0.0
-    triangles = count_matches(edges, clique(3))
-    return 3.0 * triangles / wedges
-
-
 def cc_exceeds(edges: DataFrame, bound: float) -> bool:
     """Fig. 4b existence query: is the global clustering coefficient
-    above ``bound``? Counts wedges first, then triangles — the paper
-    stops triangle counting early once the requisite count is reached;
-    the batch analog computes the count and compares."""
+    (3 × triangles / wedges, the edge-induced 3-star being the wedge)
+    above ``bound``? A graph without wedges is not. Counts wedges first,
+    then triangles — the paper stops triangle counting early once the
+    requisite count is reached; the batch analog computes the count and
+    compares."""
     wedges = count_matches(edges, star(3))
     if wedges == 0:
         return False
@@ -166,7 +159,7 @@ def _discover_supports(
     df = match_df(edges, s, labels=labels, symmetry_breaking=symmetry_breaking)
     for u in regs:
         lu = labels.select(F.col("v").alias(f"v{u}"), F.col("label").alias(f"l{u}"))
-        df = df.join(lu, on=f"v{u}", how="inner")
+        df = df.join(F.broadcast(lu), on=f"v{u}", how="inner")
 
     def lab(a):  # the labels of the copy whose position u holds v{a[u]}
         return F.struct(*[F.col(f"l{a[u]}").alias(f"l{u}") for u in regs])

@@ -18,6 +18,7 @@ from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 
 from .baseline.common import BudgetExceeded, adjacency_dict
+from .core.matcher import adjacency
 from .graph.gengraph import Graph
 
 #: Explored-embedding budget for baseline systems: the deterministic
@@ -78,23 +79,31 @@ def check_graph(g: Graph) -> None:
 class SparkGraph:
     """A dataset loaded into the session: the cached symmetric edge table
     and optional cached label table, the driver-side ``graph`` they came
-    from, and per-load broadcasts of its adjacency and label map, built
-    on first use. ``unload`` drops all of them."""
+    from, the engine's cached ``adj`` (``matcher.adjacency(edges)``, built
+    at load), and the baselines' per-load broadcasts of its adjacency and
+    label map, built on first use. ``unload`` drops all of them.
+
+    Spark substitutes the cached ``adj`` into every later
+    ``adjacency(edges)`` plan over this ``edges``, so the mining apps,
+    which take the edge table, read ``adj`` from the cache without
+    being handed it."""
 
     graph: Graph
     edges: DataFrame
     labels: Optional[DataFrame]
+    adj: DataFrame
 
     @staticmethod
     def load(spark: SparkSession, g: Graph) -> "SparkGraph":
         check_graph(g)
         edges = g.to_spark(spark).cache()
-        edges.count()
+        adj = adjacency(edges).cache()
+        adj.count()  # scans every edge partition, so it fills both caches
         labels = g.labels_to_spark(spark)
         if labels is not None:
             labels = labels.cache()
             labels.count()
-        return SparkGraph(graph=g, edges=edges, labels=labels)
+        return SparkGraph(graph=g, edges=edges, labels=labels, adj=adj)
 
     @cached_property
     def adj_b(self) -> Broadcast:
@@ -114,6 +123,7 @@ class SparkGraph:
             b = self.__dict__.pop(name, None)
             if b is not None:
                 b.destroy()
+        self.adj.unpersist()
         self.edges.unpersist()
         if self.labels is not None:
             self.labels.unpersist()

@@ -28,9 +28,10 @@ from repro.baseline.purpose import (
     gminer_match_labeled_triangle,
     gminer_triangle_count,
 )
-from repro.core.matcher import count_matches
+from repro.core.matcher import count_matches, match_df
 from repro.core.mining import count_cliques, count_motifs, fsm, motif_name
 from repro.core.pattern import Pattern, chain, clique, star
+from repro.graph.gengraph import powerlaw_graph
 from repro.harness import SparkGraph
 from repro.patterns_eval import P1, P2, P5
 
@@ -86,7 +87,50 @@ class TestCommon:
         assert count_pattern_in_set((0, 1, 2), adj, clique(3)) == 0
 
 
+def _operators(plan):
+    """The operators of an executed plan, through adaptive-execution and
+    query-stage wrappers but not into the plans that cached relations
+    were built from."""
+    yield plan
+    kind = plan.getClass().getSimpleName()
+    if kind == "AdaptiveSparkPlanExec":
+        kids = [plan.executedPlan()]
+    elif kind.endswith("QueryStageExec"):
+        kids = [plan.plan()]
+    else:
+        seq = plan.children()
+        kids = [seq.apply(i) for i in range(seq.size())]
+    for k in kids:
+        yield from _operators(k)
+
+
 class TestLoadedGraph:
+    def test_matching_reads_cached_adjacency_without_shuffle(self, sparks):
+        """On a loaded graph ``match_df`` reads ``adj`` from the cache
+        built at load and broadcasts it into every join: the executed
+        plan scans only that in-memory relation and has no shuffle
+        exchange and no sort-merge join. ``unload`` drops the cached
+        ``adj``. (A graph of its own: loads of equal data share one cache
+        entry, so unloading a fixture's twin would uncache the fixture.)"""
+        g = SparkGraph.load(sparks, powerlaw_graph(80, 220, seed=15, name="own"))
+        want = count_matches(g.edges, clique(4))
+        df = match_df(g.edges, clique(4))
+        assert want > 0 and len(df.collect()) == want
+        ops = list(_operators(df._jdf.queryExecution().executedPlan()))
+        kinds = [op.getClass().getSimpleName() for op in ops]
+        scans = [op for op, k in zip(ops, kinds) if k.endswith("ScanExec")]
+        assert len(scans) == 3  # adj as v0's rows, then v1's and v2's arrays
+        for s in scans:
+            assert s.getClass().getSimpleName() == "InMemoryTableScanExec"
+            assert "collect_list" in s.relation().cacheBuilder().cachedPlan().toString()
+        assert "ShuffleExchangeExec" not in kinds
+        assert "SortMergeJoinExec" not in kinds
+        assert kinds.count("BroadcastHashJoinExec") == 2
+        assert g.adj.storageLevel.useMemory
+        g.unload()
+        assert not g.adj.storageLevel.useMemory
+        assert len(match_df(g.edges, clique(4)).collect()) == want
+
     def test_adjacency_broadcast_once_per_load(self, sparks, fig6_graph, monkeypatch):
         """Two baseline runs on one loaded graph share its one adjacency
         broadcast, and unloading the graph destroys it."""
