@@ -22,10 +22,10 @@ raises :class:`BudgetExceeded` (the OOM/out-of-disk analog).
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import pandas as pd
-from pyspark.sql import DataFrame, functions as F
+from pyspark.sql import Column, DataFrame, functions as F
 from pyspark.sql.types import (
     ArrayType,
     BooleanType,
@@ -36,6 +36,7 @@ from pyspark.sql.types import (
 )
 
 from .common import (
+    BUDGET,
     BaselineMetrics,
     encode_induced,
     encode_labeled_edge_embedding,
@@ -45,8 +46,6 @@ from .common import (
 
 if TYPE_CHECKING:
     from ..harness import SparkGraph
-
-_BUDGET_DEFAULT = 3_000_000
 
 
 def _vertex_level1(edges: DataFrame) -> DataFrame:
@@ -81,28 +80,32 @@ def _expand_by_vertex(emb: DataFrame, edges: DataFrame) -> DataFrame:
     return cand.select(F.concat("vs", F.array("dst")).alias("vs"))
 
 
-def _canonical_filter(emb: DataFrame, adj_b) -> DataFrame:
-    @F.pandas_udf(BooleanType())
-    def canon(vs: pd.Series) -> pd.Series:
-        adj = adj_b.value
-        return vs.map(lambda a: is_canonical_embedding(tuple(int(x) for x in a), adj))
+def _per_embedding(fn: Callable, adj_b, return_type) -> Column:
+    """``fn(vertex tuple, adjacency)`` of each embedding's ``vs``, as a
+    pandas UDF over the broadcast adjacency."""
 
-    return emb.where(canon(F.col("vs")))
+    @F.pandas_udf(return_type)
+    def udf(vs: pd.Series) -> pd.Series:
+        adj = adj_b.value
+        return vs.map(lambda a: fn(tuple(int(x) for x in a), adj))
+
+    return udf(F.col("vs"))
 
 
 def bfs_enumerate(
     g: SparkGraph,
     k: int,
     mode: str = "abq",
-    budget: Optional[int] = _BUDGET_DEFAULT,
+    budget: Optional[int] = BUDGET,
     clique_filter: bool = False,
-    metrics: Optional[BaselineMetrics] = None,
 ) -> tuple[DataFrame, BaselineMetrics]:
     """Enumerate all connected k-vertex embeddings (one canonical row
     each). ``clique_filter`` applies Arabesque's per-level filter for the
     clique app — candidates are still generated (and charged) first."""
-    m = metrics if metrics is not None else BaselineMetrics()
+    m = BaselineMetrics()
     edges, adj_b = g.edges, g.adj_b
+    canonical = _per_embedding(is_canonical_embedding, adj_b, BooleanType())
+    clique = _per_embedding(is_clique, adj_b, BooleanType())
     emb = _vertex_level1(edges).cache()
     _probed_count(emb, m, budget)
     for level in range(2, k + 1):
@@ -113,11 +116,11 @@ def bfs_enumerate(
             emb.unpersist()
         if mode == "abq":
             m.canonicality += n
-            nxt = _canonical_filter(cand, adj_b)
+            nxt = cand.where(canonical)
         else:  # rs: no mid-stream canonical pruning
             nxt = cand
         if clique_filter:
-            nxt = _clique_filter(nxt, adj_b)
+            nxt = nxt.where(clique)
         emb = nxt.cache()
         emb.count()
         cand.unpersist()
@@ -125,25 +128,16 @@ def bfs_enumerate(
         # end-of-pipeline canonicality pass over everything that survived
         n = emb.count()
         m.canonicality += n
-        emb = _canonical_filter(emb, adj_b).cache()
+        emb = emb.where(canonical).cache()
         emb.count()
     return emb, m
-
-
-def _clique_filter(emb: DataFrame, adj_b) -> DataFrame:
-    @F.pandas_udf(BooleanType())
-    def clique(vs: pd.Series) -> pd.Series:
-        adj = adj_b.value
-        return vs.map(lambda a: is_clique(tuple(int(x) for x in a), adj))
-
-    return emb.where(clique(F.col("vs")))
 
 
 def bfs_count_cliques(
     g: SparkGraph,
     k: int,
     mode: str = "abq",
-    budget: Optional[int] = _BUDGET_DEFAULT,
+    budget: Optional[int] = BUDGET,
 ) -> BaselineMetrics:
     """k-clique counting the Arabesque/RStream way: generate all
     neighbor extensions, canonicality-check, then filter to cliques.
@@ -161,20 +155,15 @@ def bfs_count_motifs(
     g: SparkGraph,
     k: int,
     mode: str = "abq",
-    budget: Optional[int] = _BUDGET_DEFAULT,
+    budget: Optional[int] = BUDGET,
 ) -> BaselineMetrics:
     """Motif counting: enumerate every connected k-vertex embedding,
     then run a per-embedding isomorphism encoding to bin by pattern
     (Figure 1c's isomorphism column ~= number of final matches)."""
     emb, m = bfs_enumerate(g, k, mode=mode, budget=budget)
-    adj_b = g.adj_b
-
-    @F.pandas_udf(StringType())
-    def code(vs: pd.Series) -> pd.Series:
-        adj = adj_b.value
-        return vs.map(lambda a: encode_induced(tuple(int(x) for x in a), adj))
-
-    coded = emb.select(code(F.col("vs")).alias("code"))
+    coded = emb.select(
+        _per_embedding(encode_induced, g.adj_b, StringType()).alias("code")
+    )
     rows = coded.groupBy("code").count().collect()
     m.isomorphism += sum(r["count"] for r in rows)
     m.result = {r["code"]: r["count"] for r in rows}
@@ -195,7 +184,7 @@ def bfs_fsm(
     g: SparkGraph,
     threshold: int,
     max_edges: int = 3,
-    budget: Optional[int] = _BUDGET_DEFAULT,
+    budget: Optional[int] = BUDGET,
 ) -> BaselineMetrics:
     """Arabesque-style FSM: materialize every edge-induced embedding per
     level, isomorphism-encode each one to find its labeled pattern,

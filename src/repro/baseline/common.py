@@ -16,6 +16,11 @@ import pandas as pd
 from ..core.pattern import Pattern
 
 
+#: Explored-embedding budget for baseline systems: the deterministic
+#: laptop-scale analog of the paper's OOM / disk / 5-hour limits.
+BUDGET = 2_000_000
+
+
 class BudgetExceeded(Exception):
     """Raised when a baseline run exceeds its embedding budget — the
     deterministic laptop-scale analog of the paper's OOM / out-of-disk /

@@ -23,8 +23,9 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from py4j.protocol import Py4JJavaError
 
-from ..core.pattern import Pattern
+from ..core.pattern import Pattern, connected
 from .common import (
+    BUDGET,
     BaselineMetrics,
     BudgetExceeded,
     count_pattern_in_set,
@@ -35,8 +36,6 @@ from .common import (
 
 if TYPE_CHECKING:
     from ..harness import SparkGraph
-
-_BUDGET_DEFAULT = 3_000_000
 
 #: DFS tasks per run. A budget is per task (the worker-memory analog).
 TASKS = 64
@@ -86,7 +85,7 @@ def dfs_run(
     g: SparkGraph,
     k: int,
     leaf: Leaf,
-    budget: Optional[int] = _BUDGET_DEFAULT,
+    budget: Optional[int] = BUDGET,
     all_sizes: bool = False,
 ) -> BaselineMetrics:
     """Run a DFS enumeration app over ``g``: ``m.result`` is the sum of
@@ -131,7 +130,7 @@ def dfs_run(
 
 
 def dfs_count_cliques(
-    g: SparkGraph, k: int, budget: Optional[int] = _BUDGET_DEFAULT
+    g: SparkGraph, k: int, budget: Optional[int] = BUDGET
 ) -> BaselineMetrics:
     """Enumerate all connected k-sets; test the clique property at each
     leaf (native clique support — 0 isomorphism checks, Fig. 1b)."""
@@ -143,7 +142,7 @@ def dfs_count_cliques(
 
 
 def dfs_count_motifs(
-    g: SparkGraph, k: int, budget: Optional[int] = _BUDGET_DEFAULT
+    g: SparkGraph, k: int, budget: Optional[int] = BUDGET
 ) -> BaselineMetrics:
     """Enumerate all connected k-sets; isomorphism-encode each leaf.
     ``m.result`` maps each motif's canonical key string to its count."""
@@ -158,7 +157,7 @@ def dfs_count_motifs(
 def dfs_match_pattern(
     g: SparkGraph,
     pattern: Pattern,
-    budget: Optional[int] = _BUDGET_DEFAULT,
+    budget: Optional[int] = BUDGET,
 ) -> BaselineMetrics:
     """Pattern matching the DFS way: enumerate all connected |V(p)|-sets
     and count the edge-induced matches inside each induced subgraph at
@@ -180,7 +179,7 @@ def dfs_fsm(
     g: SparkGraph,
     threshold: int,
     max_edges: int = 3,
-    budget: Optional[int] = _BUDGET_DEFAULT,
+    budget: Optional[int] = BUDGET,
 ) -> BaselineMetrics:
     """Fractal-style FSM: depth-first edge-induced enumeration with
     global MNI aggregation (the O(|V|)-per-pattern-vertex domains the
@@ -212,7 +211,7 @@ def dfs_fsm(
                 if len({v for e in es for v in e}) != len(vs):
                     continue
                 eset = frozenset((min(a, b), max(a, b)) for a, b in es)
-                if not _connected_eset(eset):
+                if not connected(vs, eset):
                     continue
                 counters["explored"] += 1
                 counters["isomorphism"] += 1
@@ -244,30 +243,13 @@ def dfs_fsm(
     return m
 
 
-def _connected_eset(eset: frozenset[tuple[int, int]]) -> bool:
-    vs = {v for e in eset for v in e}
-    adj: dict[int, set[int]] = {}
-    for a, b in eset:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    start = next(iter(vs))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vs
-
-
 def _subcodes(eset, label_of, counters):
     """Codes of the (ne-1)-edge connected sub-embeddings — the
     anti-monotone check (each costs an isomorphism computation)."""
     out = []
     for e in eset:
         sub = frozenset(eset - {e})
-        if sub and _connected_eset(sub):
+        if sub and connected({v for edge in sub for v in edge}, sub):
             counters["isomorphism"] += 1
             code, _, _ = encode_labeled_edge_embedding(sub, label_of)
             out.append(code)

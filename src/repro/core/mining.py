@@ -229,7 +229,7 @@ def fsm(
             for q, support in _discover_supports(
                 edges, labels, shape, symmetry_breaking=symmetry_breaking
             ).items():
-                if support >= threshold and q not in frequent:
+                if support >= threshold:
                     frequent[q] = support
                     found = True
             if found:

@@ -33,6 +33,26 @@ def _norm_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
+def connected(vertices: Iterable[int], edges: Iterable[Edge]) -> bool:
+    """Do ``edges`` connect ``vertices``? Edges with an endpoint outside
+    ``vertices`` are ignored; no vertex, or one, is connected."""
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for a, b in edges:
+        if a in adj and b in adj:
+            adj[a].append(b)
+            adj[b].append(a)
+    if not adj:
+        return True
+    stack = [next(iter(adj))]
+    seen = set(stack)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
+
+
 @dataclass(frozen=True)
 class Pattern:
     """An immutable connected graph pattern.
@@ -96,30 +116,11 @@ class Pattern:
             for v in regs:
                 if not any(v in e for e in self.edges):
                     raise ValueError(f"regular vertex {v} has no regular edge")
-        if not self._connected():
+        # connected over regular edges, with each anti-vertex attached by
+        # its anti-edges (an anti-vertex 'hangs off' regular structure)
+        hangs = {e for e in self.anti_edges if self.anti_vertices.intersection(e)}
+        if not connected(range(self.n), self.edges | hangs):
             raise ValueError("pattern must be connected")
-
-    def _connected(self) -> bool:
-        """Connected over regular edges, with anti-vertices attached via
-        their anti-edges (an anti-vertex 'hangs off' regular structure)."""
-        if self.n <= 1:
-            return True
-        adj: dict[int, set[int]] = {v: set() for v in range(self.n)}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        for a, b in self.anti_edges:
-            if a in self.anti_vertices or b in self.anti_vertices:
-                adj[a].add(b)
-                adj[b].add(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
 
     # -- Figure 2 accessors ----------------------------------------------
     @property
@@ -327,7 +328,7 @@ def generate_all_edge_induced(size: int) -> list[Pattern]:
     return sorted(seen, key=Pattern.canonical_key)
 
 
-# -- Figure 2 combinators [C1-C2] -----------------------------------------
+# -- Figure 2 combinator [C1] --------------------------------------------
 def extend_by_edge(patterns: Iterable[Pattern]) -> list[Pattern]:
     """[C1] All unique patterns formed by adding one edge to a pattern —
     either between two existing non-adjacent regular vertices, or to a
@@ -342,21 +343,6 @@ def extend_by_edge(patterns: Iterable[Pattern]) -> list[Pattern]:
         for a in regs:
             q = p.add_edge(a, p.n)
             seen.add(q.canonical())
-    return sorted(seen, key=Pattern.canonical_key)
-
-
-def extend_by_vertex(patterns: Iterable[Pattern]) -> list[Pattern]:
-    """[C2] All unique patterns formed by adding one fresh vertex
-    connected to any non-empty subset of existing regular vertices."""
-    seen: set[Pattern] = set()
-    for p in patterns:
-        regs = p.regular_vertices
-        for r in range(1, len(regs) + 1):
-            for subset in itertools.combinations(regs, r):
-                q = p
-                for a in subset:
-                    q = q.add_edge(a, p.n)
-                seen.add(q.canonical())
     return sorted(seen, key=Pattern.canonical_key)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .pattern import Pattern, _norm_edge
+from .pattern import Pattern, _norm_edge, connected
 
 
 def vertex_induced_rewrite(p: Pattern) -> Pattern:
@@ -79,32 +79,14 @@ def min_connected_vertex_cover(p: Pattern) -> tuple[int, ...]:
     ]
     if not to_cover:
         return regs[:1]
-    adj: dict[int, set[int]] = {v: set() for v in regs}
-    for a, b in p.edges:
-        adj[a].add(b)
-        adj[b].add(a)
     for size in range(1, len(regs) + 1):
         for cand in itertools.combinations(regs, size):
             cset = set(cand)
             if not all(a in cset or b in cset for a, b in to_cover):
                 continue
-            if _connected_within(cand, adj):
+            if connected(cand, p.edges):
                 return cand
     raise AssertionError("unreachable: full regular vertex set is a cover")
-
-
-def _connected_within(vs: tuple[int, ...], adj: dict[int, set[int]]) -> bool:
-    if len(vs) <= 1:
-        return True
-    vset = set(vs)
-    seen = {vs[0]}
-    stack = [vs[0]]
-    while stack:
-        for w in adj[stack.pop()] & vset:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vset
 
 
 def _core_order(

@@ -35,7 +35,6 @@ from .core.matcher import MatchStats, count_matches
 from .core.pattern import clique, generate_all_vertex_induced
 from .graph import datasets
 from .harness import (
-    BASELINE_BUDGET,
     BUDGET,
     OK,
     SKIPPED,
@@ -92,29 +91,27 @@ def _named_motifs(k: int, counts: dict) -> dict[str, int]:
 
 def _motifs(k: int) -> dict[str, Thunk]:
     def bfs_run(mode):
-        return lambda sg: _named_motifs(k, bfs.bfs_count_motifs(
-            sg, k, mode=mode, budget=BASELINE_BUDGET).result)
+        return lambda sg: _named_motifs(
+            k, bfs.bfs_count_motifs(sg, k, mode=mode).result)
 
     return {
         "PRG": lambda sg: mining.count_motifs(sg.edges, k),
         "PRG-U": lambda sg: mining.count_motifs(sg.edges, k, symmetry_breaking=False),
         "ABQ": bfs_run("abq"),
         "RS": bfs_run("rs"),
-        "FCL": lambda sg: _named_motifs(k, dfs.dfs_count_motifs(
-            sg, k, budget=BASELINE_BUDGET).result),
+        "FCL": lambda sg: _named_motifs(k, dfs.dfs_count_motifs(sg, k).result),
     }
 
 
 def _cliques(k: int) -> dict[str, Thunk]:
     def bfs_run(mode):
-        return lambda sg: bfs.bfs_count_cliques(
-            sg, k, mode=mode, budget=BASELINE_BUDGET).result
+        return lambda sg: bfs.bfs_count_cliques(sg, k, mode=mode).result
 
     impls = {
         "PRG": lambda sg: mining.count_cliques(sg.edges, k),
         "ABQ": bfs_run("abq"),
         "RS": bfs_run("rs"),
-        "FCL": lambda sg: dfs.dfs_count_cliques(sg, k, budget=BASELINE_BUDGET).result,
+        "FCL": lambda sg: dfs.dfs_count_cliques(sg, k).result,
     }
     if k == 3:
         impls["GM"] = lambda sg: purpose.gminer_triangle_count(sg).result
@@ -131,12 +128,12 @@ def _fsm(tau: int) -> dict[str, Thunk]:
     return {
         "PRG": prg(True),
         "PRG-U": prg(False),
-        "ABQ": lambda sg: bfs.bfs_fsm(sg, tau, budget=BASELINE_BUDGET).result,
+        "ABQ": lambda sg: bfs.bfs_fsm(sg, tau).result,
         # DFS budgets are per task (the worker-memory analog); a small
         # per-task budget makes resource exhaustion report quickly
         # instead of grinding every task to its full individual budget.
         "FCL": lambda sg: dfs.dfs_fsm(
-            sg, tau, budget=BASELINE_BUDGET // dfs.TASKS).result,
+            sg, tau, budget=dfs.BUDGET // dfs.TASKS).result,
     }
 
 
@@ -145,7 +142,7 @@ def _match(pname: str) -> dict[str, Thunk]:
     # 5-vertex patterns make the pattern-oblivious DFS enumerate all
     # connected 5-sets — tens of millions even on MI-lite; the small
     # per-task budget reports the blow-up as '—'
-    budget = BASELINE_BUDGET if pat.n <= 4 else BASELINE_BUDGET // dfs.TASKS
+    budget = dfs.BUDGET if pat.n <= 4 else dfs.BUDGET // dfs.TASKS
     impls = {
         "PRG": lambda sg: count_matches(sg.edges, pat, labels=sg.labels),
         "FCL": lambda sg: dfs.dfs_match_pattern(sg, pat, budget=budget).result,

@@ -82,6 +82,17 @@ def _degree_order(edges: np.ndarray) -> np.ndarray:
     return remap[edges]
 
 
+def _symmetric(e: np.ndarray) -> pd.DataFrame:
+    """The symmetric edge table ``edges(src, dst)``, sorted, of distinct
+    undirected edges ``e``: both directions of every row."""
+    sym = np.concatenate([e, e[:, ::-1]])
+    return (
+        pd.DataFrame({"src": sym[:, 0], "dst": sym[:, 1]})
+        .sort_values(["src", "dst"])
+        .reset_index(drop=True)
+    )
+
+
 def powerlaw_graph(
     n: int,
     m: int,
@@ -103,15 +114,7 @@ def powerlaw_graph(
     e = np.stack([src[keep], dst[keep]], axis=1)
     e.sort(axis=1)
     e = np.unique(e, axis=0)[:m]
-    e = _degree_order(e)
-    sym = np.concatenate([e, e[:, ::-1]])
-    pdf = (
-        pd.DataFrame({"src": sym[:, 0], "dst": sym[:, 1]})
-        .drop_duplicates()
-        .sort_values(["src", "dst"])
-        .reset_index(drop=True)
-    )
-    return Graph(name=name, edges_pdf=pdf)
+    return Graph(name=name, edges_pdf=_symmetric(_degree_order(e)))
 
 
 def with_labels(graph: Graph, n_labels: int, *, seed: int = 0) -> Graph:
@@ -127,22 +130,10 @@ def from_edge_list(
     edges: list[tuple[int, int]],
     labels: Optional[dict[int, int]] = None,
     name: str = "custom",
-    degree_order: bool = False,
 ) -> Graph:
     """Build a Graph from explicit undirected edge tuples (tests)."""
     e = np.array([(min(a, b), max(a, b)) for a, b in edges if a != b], dtype=np.int64)
-    e = np.unique(e, axis=0)
-    if degree_order:
-        if labels is not None:
-            raise ValueError("degree_order would invalidate explicit labels")
-        e = _degree_order(e)
-    sym = np.concatenate([e, e[:, ::-1]])
-    pdf = (
-        pd.DataFrame({"src": sym[:, 0], "dst": sym[:, 1]})
-        .drop_duplicates()
-        .sort_values(["src", "dst"])
-        .reset_index(drop=True)
-    )
+    pdf = _symmetric(np.unique(e, axis=0))
     lab = (
         None
         if labels is None

@@ -21,10 +21,6 @@ from .baseline.common import BudgetExceeded, adjacency_dict
 from .core.matcher import adjacency
 from .graph.gengraph import Graph
 
-#: Explored-embedding budget for baseline systems: the deterministic
-#: laptop-scale analog of the paper's OOM / disk / 5-hour limits.
-BASELINE_BUDGET = 2_000_000
-
 OK, BUDGET, SKIPPED = "ok", "budget", "skipped"
 #: How a cell without a time renders: '—' ran out of budget (the
 #: paper's OOM / timeout), 'n/a' was never attempted.
@@ -86,7 +82,9 @@ class SparkGraph:
     Spark substitutes the cached ``adj`` into every later
     ``adjacency(edges)`` plan over this ``edges``, so the mining apps,
     which take the edge table, read ``adj`` from the cache without
-    being handed it."""
+    being handed it. Spark's cache matches plans, not objects: two loads
+    of equal data share one cache entry, and unloading either uncaches
+    both."""
 
     graph: Graph
     edges: DataFrame

@@ -31,11 +31,11 @@ from repro.baseline.purpose import (
 from repro.core.matcher import count_matches, match_df
 from repro.core.mining import count_cliques, count_motifs, fsm, motif_name
 from repro.core.pattern import Pattern, chain, clique, star
-from repro.graph.gengraph import powerlaw_graph
+from repro.graph.gengraph import from_edge_list, powerlaw_graph
 from repro.harness import SparkGraph
 from repro.patterns_eval import P1, P2, P5
 
-from .conftest import ref_of
+from .conftest import FIG6_EDGES, ref_of
 
 
 class TestCommon:
@@ -131,9 +131,10 @@ class TestLoadedGraph:
         assert not g.adj.storageLevel.useMemory
         assert len(match_df(g.edges, clique(4)).collect()) == want
 
-    def test_adjacency_broadcast_once_per_load(self, sparks, fig6_graph, monkeypatch):
+    def test_adjacency_broadcast_once_per_load(self, sparks, monkeypatch):
         """Two baseline runs on one loaded graph share its one adjacency
-        broadcast, and unloading the graph destroys it."""
+        broadcast, and unloading the graph destroys it. (Figure 6 with its
+        vertex ids shifted: a graph of its own, as above.)"""
         from pyspark import SparkContext
 
         made = []
@@ -144,7 +145,7 @@ class TestLoadedGraph:
             return made[-1]
 
         monkeypatch.setattr(SparkContext, "broadcast", counted)
-        g = SparkGraph.load(sparks, fig6_graph)
+        g = SparkGraph.load(sparks, from_edge_list([(a + 6, b + 6) for a, b in FIG6_EDGES]))
         assert bfs_count_cliques(g, 3).result == dfs_count_cliques(g, 3).result == 2
         assert len(made) == 1
         assert made[0]._jbroadcast.isValid()

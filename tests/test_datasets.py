@@ -1,4 +1,6 @@
 """Tests for the graph substrate and Table 2 stand-in datasets."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -13,6 +15,14 @@ from repro.graph.datasets import (
     patents_lite_labeled,
 )
 from repro.graph.gengraph import from_edge_list, powerlaw_graph, with_labels
+
+PINNED_DIGESTS = {
+    "MI": "545ce37d50d7f8e3572df42a6a31ca0d736a50c5ec42e47c5ebb0aa55f1ac4c0",
+    "PA": "acde9fc6349c88f20c3d08dd40fa8db16ebd59a9adb89bc9a85e9d182c070238",
+    "PA-labeled": "bddb7142dd4541bcc8cb4f97dc41ad5766fa5059de4b113568259c662aa882fe",
+    "OK": "80ab46b8e20ace35d4224180dfb919acb25c00a4cb5bea7ae2bda4093f12e7bb",
+    "FR": "d49a914ccfd15c976aabbe29f6ac2d63123bd7417b8e3e3994d95b0b140db6ac",
+}
 
 
 class TestPowerlawGenerator:
@@ -77,10 +87,6 @@ class TestFromEdgeList:
         g = from_edge_list([(0, 1)], labels={0: 1, 1: 2})
         assert g.label_dict() == {0: 1, 1: 2}
 
-    def test_degree_order_conflicts_with_labels(self):
-        with pytest.raises(ValueError):
-            from_edge_list([(0, 1)], labels={0: 1, 1: 2}, degree_order=True)
-
 
 class TestDatasets:
     def test_all_present(self):
@@ -112,6 +118,19 @@ class TestDatasets:
         assert stats.loc["MI", "E"] == mi.n_edges
         deg = mi.degrees()
         assert stats.loc["MI", "max_deg"] == deg.max()
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_graph_data_pinned(self, name):
+        """Each lite dataset is the same graph that ``results/*.json`` and
+        the benchmark's cached oracle answers were computed on: a sha256
+        of its sorted edge rows, then of its label rows by vertex."""
+        g = all_datasets()[name]
+        e = g.edges_pdf[["src", "dst"]].to_numpy(dtype=np.int64)
+        h = hashlib.sha256(e[np.lexsort((e[:, 1], e[:, 0]))].tobytes())
+        if g.labels_pdf is not None:
+            lab = g.labels_pdf[["v", "label"]].to_numpy(dtype=np.int64)
+            h.update(lab[np.argsort(lab[:, 0], kind="stable")].tobytes())
+        assert h.hexdigest() == PINNED_DIGESTS[name]
 
     def test_caching(self):
         assert mico_lite() is mico_lite()

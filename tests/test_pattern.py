@@ -8,8 +8,8 @@ from repro.core.pattern import (
     Pattern,
     chain,
     clique,
+    connected,
     extend_by_edge,
-    extend_by_vertex,
     generate_all_edge_induced,
     generate_all_vertex_induced,
     load_patterns,
@@ -172,17 +172,25 @@ class TestCombinators:
             labs = [l for l in p.labels if l is not None]
             assert sorted(labs) == [1, 2, 3]
 
-    def test_extend_by_vertex_triangle(self):
-        """Triangle + 1 vertex connected all ways: tailed triangle,
-        diamond, 4-clique."""
-        exts = extend_by_vertex([clique(3)])
-        assert len(exts) == 3
-        assert clique(4).canonical_key() in {p.canonical_key() for p in exts}
-
     def test_extend_dedupes_across_inputs(self):
         exts = extend_by_edge([chain(4), star(4)])
         keys = [p.canonical_key() for p in exts]
         assert len(keys) == len(set(keys))
+
+
+class TestConnected:
+    def test_path_connects_its_vertices(self):
+        assert connected(range(3), [(0, 1), (1, 2)])
+        assert not connected(range(4), [(0, 1), (2, 3)])
+
+    def test_edges_leaving_the_vertex_set_are_ignored(self):
+        # 0 and 2 meet only through 1, which is not in the set
+        assert not connected((0, 2), [(0, 1), (1, 2)])
+        assert connected((0, 1), [(0, 1), (1, 2)])
+
+    def test_no_vertex_or_one_is_connected(self):
+        assert connected((), [])
+        assert connected((5,), [])
 
 
 class TestCanonical:
