@@ -123,6 +123,10 @@ def encode_labeled_edge_embedding(
     return code, tuple(mapped), orbits
 
 
+#: |Aut(p)| per pattern, so a DFS leaf does not search the automorphisms.
+_AUT_MEMO: dict[Pattern, int] = {}
+
+
 def count_pattern_in_set(
     vs: tuple[int, ...],
     adj: dict[int, frozenset],
@@ -135,7 +139,9 @@ def count_pattern_in_set(
     k = pattern.n
     if len(vs) != k:
         return 0
-    n_auto = len(pattern.automorphisms())
+    n_auto = _AUT_MEMO.get(pattern)
+    if n_auto is None:
+        n_auto = _AUT_MEMO[pattern] = len(pattern.automorphisms())
     cnt = 0
     for perm in itertools.permutations(vs):
         if label_of is not None and any(

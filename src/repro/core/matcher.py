@@ -21,6 +21,10 @@ Vertices are bound in the plan's vertex order:
 * anti-vertex → one test: no common neighbour of its matched
   anti-neighbours lies outside the match.
 
+Vertex-induced matching is not a mode: callers pass the Theorem 3.1
+rewrite ``plan.vertex_induced_rewrite(p)``, whose anti-edges compile
+like any other.
+
 ``adj`` is joined in only for the vertices whose array a later step
 reads. Every ``adj`` and label join broadcasts its small side by
 explicit hint, whatever the session's ``autoBroadcastJoinThreshold``:
@@ -46,7 +50,7 @@ from typing import Optional
 from pyspark.sql import DataFrame, functions as F
 
 from .pattern import Pattern
-from .plan import ExplorationPlan, generate_plan
+from .plan import generate_plan
 
 
 def _c(v: int) -> str:
@@ -85,15 +89,13 @@ def match_df(
     edges: DataFrame,
     pattern: Pattern,
     labels: Optional[DataFrame] = None,
-    induced: bool = False,
     symmetry_breaking: bool = True,
-    plan: Optional[ExplorationPlan] = None,
 ) -> DataFrame:
     """Matches of ``pattern`` as a DataFrame with one column per regular
     pattern vertex (``v0..``). With symmetry breaking each unique
     subgraph yields exactly one row; without it, ``|Aut|`` rows."""
-    plan = plan or generate_plan(pattern, induced=induced)
-    p = plan.pattern
+    p = pattern
+    plan = generate_plan(p)
     order = plan.vertex_order
     po = plan.partial_orders if symmetry_breaking else ()
 
@@ -163,26 +165,19 @@ def count_matches(
     edges: DataFrame,
     pattern: Pattern,
     labels: Optional[DataFrame] = None,
-    induced: bool = False,
     symmetry_breaking: bool = True,
     stats: Optional[MatchStats] = None,
 ) -> int:
     """Number of unique matches. Without symmetry breaking the engine
     produces every automorphic copy and divides by ``|Aut|`` — exact,
     since each subgraph appears exactly ``|Aut(p)|`` times."""
-    plan = generate_plan(pattern, induced=induced)
-    df = match_df(
-        edges, pattern, labels, induced, symmetry_breaking, plan=plan
-    )
-    raw = df.count()
+    raw = match_df(edges, pattern, labels, symmetry_breaking).count()
     if symmetry_breaking:
         n = raw
     else:
-        assert raw % plan.num_automorphisms == 0, (
-            raw,
-            plan.num_automorphisms,
-        )
-        n = raw // plan.num_automorphisms
+        n_auto = len(pattern.automorphisms())
+        assert raw % n_auto == 0, (raw, n_auto)
+        n = raw // n_auto
     if stats is not None:
         stats.matches_explored += raw
     return n

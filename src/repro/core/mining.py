@@ -31,7 +31,7 @@ from .pattern import (
     generate_all_vertex_induced,
     star,
 )
-from .plan import generate_plan
+from .plan import generate_plan, vertex_induced_rewrite
 
 # Human names for the small motifs, keyed by canonical key.
 MOTIF_NAMES = {
@@ -57,13 +57,14 @@ def count_motifs(
     edges: DataFrame, size: int, symmetry_breaking: bool = True
 ) -> dict[str, int]:
     """Vertex-induced counts of all connected ``size``-vertex patterns
-    (Fig. 4e). Returns ``{motif name: count}``."""
-    out = {}
-    for p in generate_all_vertex_induced(size):
-        out[motif_name(p)] = count_matches(
-            edges, p, induced=True, symmetry_breaking=symmetry_breaking
+    (Fig. 4e), each matched as its Theorem 3.1 rewrite. Returns
+    ``{motif name: count}``."""
+    return {
+        motif_name(p): count_matches(
+            edges, vertex_induced_rewrite(p), symmetry_breaking=symmetry_breaking
         )
-    return out
+        for p in generate_all_vertex_induced(size)
+    }
 
 
 def count_cliques(edges: DataFrame, k: int) -> int:
@@ -236,7 +237,5 @@ def fsm(
                 fertile.append(shape)
         if not fertile or ne == max_edges:
             break
-        structures = [
-            s for s in extend_by_edge(fertile) if len(s.edges) == ne + 1
-        ]
+        structures = extend_by_edge(fertile)
     return FsmResult(frequent=frequent)

@@ -6,19 +6,22 @@ produces everything the matching engine needs:
 * **partial orders** — Grochow–Kellis symmetry breaking: ``(a, b)`` means
   every match must satisfy ``m(a) < m(b)``; the only automorphism of the
   pattern consistent with the ordering is the identity, so each unique
-  subgraph is produced exactly once with no canonicality checks;
+  subgraph is produced exactly once with no canonicality checks. Every
+  condition has ``a < b``;
 * **core** — the subgraph induced by a minimum *connected* vertex cover
   (anti-edges between regular vertices are covered too, §4.2;
-  anti-vertices are excluded from the core, §4.3);
+  anti-vertices are excluded from the core, §4.3), in ascending id
+  order, which every condition respects;
 * **vertex order** — the order in which the DataFrame engine binds
-  vertices: core first (starting from the first total order of the core
-  consistent with the partial order), then non-core regular vertices,
-  each adjacent to at least one earlier vertex. Anti-vertices are
-  checked after every regular vertex is bound.
+  vertices: core first (from the core in id order), then non-core
+  regular vertices, each adjacent to at least one earlier vertex.
+  Anti-vertices are checked after every regular vertex is bound.
 
 ``Theorem 3.1``: vertex-induced matching of ``p`` equals edge-induced
 matching of ``p`` plus anti-edges between every non-adjacent regular
-pair — implemented by :func:`vertex_induced_rewrite`.
+pair — :func:`vertex_induced_rewrite`. Vertex-induced matching is that
+pattern, not a mode: the plan, the matcher and the oracles take only a
+pattern.
 """
 from __future__ import annotations
 
@@ -48,9 +51,11 @@ def break_symmetries(p: Pattern) -> tuple[tuple[int, int], ...]:
     Iteratively pins the smallest non-fixed vertex ``v``: add ``v < u``
     for every other vertex ``u`` in v's orbit, then keep only the
     automorphisms fixing ``v``. Terminates with only the identity
-    remaining. Automorphisms are computed on the *full* pattern —
-    including labels, anti-edges and anti-vertices — so anti-vertex
-    asymmetries are honoured (§4.3).
+    remaining. The remaining automorphisms fix every vertex smaller than
+    ``v``, so its orbit holds no smaller vertex: every condition
+    ``(a, b)`` has ``a < b``. Automorphisms are computed on the *full*
+    pattern — including labels, anti-edges and anti-vertices — so
+    anti-vertex asymmetries are honoured (§4.3).
     """
     autos = p.automorphisms()
     conditions: list[tuple[int, int]] = []
@@ -67,7 +72,7 @@ def min_connected_vertex_cover(p: Pattern) -> tuple[int, ...]:
     """Smallest set of *regular* vertices that covers every regular edge
     and every anti-edge between two regular vertices (§4.2), whose
     induced subgraph (over regular edges) is connected. Deterministic:
-    lexicographically smallest among minimum covers.
+    lexicographically smallest among minimum covers, in ascending order.
 
     Anti-edges incident to an anti-vertex need no cover: the anti-vertex
     check runs after all regular vertices are matched (§4.3).
@@ -89,63 +94,31 @@ def min_connected_vertex_cover(p: Pattern) -> tuple[int, ...]:
     raise AssertionError("unreachable: full regular vertex set is a cover")
 
 
-def _core_order(
-    core: tuple[int, ...], partial_orders: tuple[tuple[int, int], ...]
-) -> tuple[int, ...]:
-    """The first total order of the core, in ``itertools.permutations``
-    order, that is consistent with the partial order restricted to core
-    vertices (§4.1): at each step take the earliest core vertex whose
-    core predecessors are all placed."""
-    po = [(a, b) for a, b in partial_orders if a in core and b in core]
-    seq: list[int] = []
-    while len(seq) < len(core):
-        seq.append(next(
-            v for v in core
-            if v not in seq and all(a in seq for a, b in po if b == v)
-        ))
-    return tuple(seq)
-
-
 @dataclass(frozen=True)
 class ExplorationPlan:
     """Everything needed to guide exploration for one pattern."""
 
-    pattern: Pattern  # rewritten pattern (anti-edges added when induced)
     partial_orders: tuple[tuple[int, int], ...]
-    core: tuple[int, ...]
+    core: tuple[int, ...]  # ascending
     vertex_order: tuple[int, ...]  # regular vertices in binding order
-    num_automorphisms: int
 
 
-def generate_plan(p: Pattern, induced: bool = False) -> ExplorationPlan:
-    """Figure 5: symmetry breaking → vertex cover → vertex order.
-
-    ``induced=True`` first applies the Theorem 3.1 rewrite so the plan
-    finds vertex-induced matches via edge-induced machinery.
-    """
-    q = vertex_induced_rewrite(p) if induced else p
-    partial = break_symmetries(q)
-    core = min_connected_vertex_cover(q)
-    vertex_order = _full_vertex_order(q, _core_order(core, partial))
-    return ExplorationPlan(
-        pattern=q,
-        partial_orders=partial,
-        core=core,
-        vertex_order=vertex_order,
-        num_automorphisms=len(q.automorphisms()),
-    )
+def generate_plan(p: Pattern) -> ExplorationPlan:
+    """Figure 5: symmetry breaking → vertex cover → vertex order."""
+    core = min_connected_vertex_cover(p)
+    return ExplorationPlan(break_symmetries(p), core, _full_vertex_order(p, core))
 
 
-def _full_vertex_order(p: Pattern, core_seq: tuple[int, ...]) -> tuple[int, ...]:
+def _full_vertex_order(p: Pattern, core: tuple[int, ...]) -> tuple[int, ...]:
     """A prefix-connected binding order: core vertices first, then
     non-core regular vertices (whose regular neighbors are all in the
-    core, by the cover property). The core sequence is reordered greedily
-    so every vertex after the first is adjacent to an earlier one — the
-    engine draws its candidates from bound neighbours' adjacency arrays;
-    the partial order is enforced separately as ``<`` predicates."""
-    core = list(core_seq)
+    core, by the cover property). The core, in id order, is reordered
+    greedily so every vertex after the first is adjacent to an earlier
+    one — the engine draws its candidates from bound neighbours'
+    adjacency arrays; the partial order is enforced separately as ``<``
+    predicates."""
     order = [core[0]]
-    remaining = core[1:]
+    remaining = list(core[1:])
     while remaining:
         nxt = next(
             v for v in remaining if set(p.get_neighbors(v)) & set(order)

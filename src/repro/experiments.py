@@ -33,6 +33,7 @@ from .baseline.common import BaselineMetrics
 from .core import mining
 from .core.matcher import MatchStats, count_matches
 from .core.pattern import clique, generate_all_vertex_induced
+from .core.plan import vertex_induced_rewrite
 from .graph import datasets
 from .harness import (
     BUDGET,
@@ -161,12 +162,14 @@ def _profile(m: BaselineMetrics) -> dict:
 def _profiles(k: int, motifs: bool) -> dict[str, Thunk]:
     """Figure 1b (4-cliques) / 1c (3-motifs) counters, run to completion
     (``budget=None``): the counts are the experiment."""
-    patterns = list(generate_all_vertex_induced(k)) if motifs else [clique(k)]
+    patterns = (
+        [vertex_induced_rewrite(p) for p in generate_all_vertex_induced(k)]
+        if motifs else [clique(k)]
+    )
 
     def prg(sg):
         stats = MatchStats()
-        n = sum(count_matches(sg.edges, p, induced=motifs, stats=stats)
-                for p in patterns)
+        n = sum(count_matches(sg.edges, p, stats=stats) for p in patterns)
         # a pattern-aware plan runs no per-match canonicality or
         # isomorphism computation
         return dict(explored=stats.matches_explored, canonicality=0,

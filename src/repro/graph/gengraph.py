@@ -132,7 +132,9 @@ def from_edge_list(
     name: str = "custom",
 ) -> Graph:
     """Build a Graph from explicit undirected edge tuples (tests)."""
-    e = np.array([(min(a, b), max(a, b)) for a, b in edges if a != b], dtype=np.int64)
+    e = np.array(
+        [(min(a, b), max(a, b)) for a, b in edges if a != b], dtype=np.int64
+    ).reshape(-1, 2)
     pdf = _symmetric(np.unique(e, axis=0))
     lab = (
         None

@@ -4,7 +4,8 @@
 ``edges(src, dst)`` table (and optional ``labels(v, label)`` table) that
 counts / enumerates exactly the unique matches the Peregrine engine
 produces: same symmetry-breaking partial orders, same anti-edge /
-anti-vertex / label semantics, same Theorem 3.1 vertex-induced rewrite.
+anti-vertex / label semantics. A vertex-induced count is the count of the
+Theorem 3.1 rewrite, passed in as the pattern.
 
 Every test that checks an engine result runs this SQL through
 ``repro.oracle.assert_equivalent`` so a wrong engine plan is caught against
@@ -12,19 +13,16 @@ an independent executor (DuckDB), not just against "it ran".
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from .core.pattern import Pattern
 from .core.plan import ExplorationPlan, generate_plan
 
 
-def _step(plan: ExplorationPlan, i: int, po: set) -> str:
+def _step(p: Pattern, plan: ExplorationPlan, i: int, po: set) -> str:
     """Step ``i`` of the plan's vertex order as one materialized CTE
     ``s{i}``: the previous step's rows ``m`` extended by vertex ``u`` =
     ``t.dst``, reached through an edge from ``u``'s first bound neighbour
     and one more ``edges`` alias per further bound neighbour, with every
     condition on ``u`` and the bound vertices."""
-    p = plan.pattern
     bound = plan.vertex_order[:i]
     u = plan.vertex_order[i]
 
@@ -76,22 +74,17 @@ def _anti_vertex_conditions(p: Pattern) -> list[str]:
     return conds
 
 
-def matches_sql(
-    pattern: Pattern,
-    induced: bool = False,
-    symmetry_breaking: bool = True,
-    plan: Optional[ExplorationPlan] = None,
-) -> str:
+def matches_sql(pattern: Pattern, symmetry_breaking: bool = True) -> str:
     """SQL enumerating match rows (columns ``v0..`` for regular
     vertices), one row per unique match under symmetry breaking.
 
     Each vertex of the plan's order is one ``MATERIALIZED`` CTE, so
     DuckDB keeps the plan's join order instead of reordering the joins
     into a star around a hub vertex."""
-    plan = plan or generate_plan(pattern, induced=induced)
-    p = plan.pattern
+    p = pattern
+    plan = generate_plan(p)
     po = set(plan.partial_orders) if symmetry_breaking else set()
-    steps = ", ".join(_step(plan, i, po) for i in range(len(plan.vertex_order)))
+    steps = ", ".join(_step(p, plan, i, po) for i in range(len(plan.vertex_order)))
     conds = _anti_vertex_conditions(p)
     where = (" WHERE " + " AND ".join(conds)) if conds else ""
     cols = ", ".join(f"m.v{u}" for u in sorted(p.regular_vertices))
@@ -99,14 +92,10 @@ def matches_sql(
             f"FROM s{len(plan.vertex_order) - 1} m{where}")
 
 
-def count_sql(
-    pattern: Pattern,
-    induced: bool = False,
-    symmetry_breaking: bool = True,
-) -> str:
+def count_sql(pattern: Pattern, symmetry_breaking: bool = True) -> str:
     """SQL producing a single row ``cnt`` = number of matches (all
     automorphic copies when ``symmetry_breaking=False``)."""
-    return f"SELECT count(*) AS cnt FROM ({matches_sql(pattern, induced, symmetry_breaking)})"
+    return f"SELECT count(*) AS cnt FROM ({matches_sql(pattern, symmetry_breaking)})"
 
 
 def _vertex_orbits(p: Pattern) -> list[tuple[int, ...]]:
@@ -124,14 +113,13 @@ def _vertex_orbits(p: Pattern) -> list[tuple[int, ...]]:
     return orbits
 
 
-def mni_support_sql(pattern: Pattern, induced: bool = False) -> str:
+def mni_support_sql(pattern: Pattern) -> str:
     """SQL producing a single row ``support`` = MNI support: the minimum
     over automorphism orbits of the distinct-vertex count of the orbit's
     match columns. The match table is scanned once, unnested into
     ``(orbit, vertex)`` rows and grouped by orbit."""
-    plan = generate_plan(pattern, induced=induced)
-    base = matches_sql(pattern, induced, plan=plan)
-    orbit = {u: i for i, orb in enumerate(_vertex_orbits(plan.pattern)) for u in orb}
+    base = matches_sql(pattern)
+    orbit = {u: i for i, orb in enumerate(_vertex_orbits(pattern)) for u in orb}
     us = sorted(orbit)
     pairs = (
         f"SELECT unnest([{', '.join(str(orbit[u]) for u in us)}]) AS o, "

@@ -2,17 +2,18 @@
 
 Enumerates matches by trying every injective assignment of pattern
 vertices to data vertices (backtracking over adjacency), with the same
-semantics as the engine: edge-/vertex-induced, anti-edges,
-anti-vertices, labels, symmetry-breaking partial orders. Deliberately
-shares no code with the DataFrame engine or the SQL compiler so the
-three implementations cross-check each other.
+semantics as the engine: anti-edges, anti-vertices, labels,
+symmetry-breaking partial orders. Vertex-induced matches are those of
+the Theorem 3.1 rewrite, passed in as the pattern. Deliberately shares
+no code with the DataFrame engine or the SQL compiler so the three
+implementations cross-check each other.
 """
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
 from .core.pattern import Pattern
-from .core.plan import break_symmetries, vertex_induced_rewrite
+from .core.plan import break_symmetries
 
 
 class RefGraph:
@@ -39,13 +40,9 @@ class RefGraph:
 
 
 def ref_matches(
-    g: RefGraph,
-    pattern: Pattern,
-    induced: bool = False,
-    symmetry_breaking: bool = True,
+    g: RefGraph, p: Pattern, symmetry_breaking: bool = True
 ) -> list[tuple[int, ...]]:
     """All matches as tuples ordered by regular pattern-vertex id."""
-    p = vertex_induced_rewrite(pattern) if induced else pattern
     po = break_symmetries(p) if symmetry_breaking else ()
     regs = list(p.regular_vertices)
     out: list[tuple[int, ...]] = []
@@ -98,18 +95,17 @@ def ref_matches(
     return out
 
 
-def ref_count(g, pattern, induced=False, symmetry_breaking=True) -> int:
-    return len(ref_matches(g, pattern, induced, symmetry_breaking))
+def ref_count(g, pattern, symmetry_breaking=True) -> int:
+    return len(ref_matches(g, pattern, symmetry_breaking))
 
 
-def ref_mni_support(g: RefGraph, pattern: Pattern, induced: bool = False) -> int:
+def ref_mni_support(g: RefGraph, p: Pattern) -> int:
     """MNI support: min over pattern vertices of |{v : some match maps
     u -> v}| — computed from unrestricted (no symmetry breaking)
     matches, the textbook definition."""
-    p = vertex_induced_rewrite(pattern) if induced else pattern
     regs = sorted(p.regular_vertices)
     domains: dict[int, set[int]] = {u: set() for u in regs}
-    for m in ref_matches(g, pattern, induced=induced, symmetry_breaking=False):
+    for m in ref_matches(g, p, symmetry_breaking=False):
         for u, v in zip(regs, m):
             domains[u].add(v)
     if not domains:

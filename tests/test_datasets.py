@@ -87,6 +87,13 @@ class TestFromEdgeList:
         g = from_edge_list([(0, 1)], labels={0: 1, 1: 2})
         assert g.label_dict() == {0: 1, 1: 2}
 
+    @pytest.mark.parametrize("edges", [[], [(2, 2)]], ids=["empty", "loop_only"])
+    def test_no_edge_gives_empty_table(self, edges):
+        g = from_edge_list(edges)
+        assert g.n_edges == 0
+        assert list(g.edges_pdf.columns) == ["src", "dst"]
+        assert (g.edges_pdf.dtypes == np.int64).all()
+
 
 class TestDatasets:
     def test_all_present(self):

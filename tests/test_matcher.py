@@ -12,7 +12,7 @@ from pyspark.sql import functions as F
 from repro.core.matcher import count_matches, match_df
 from repro.core.mining import _discover_supports
 from repro.core.pattern import Pattern, chain, clique, star
-from repro.core.plan import generate_plan
+from repro.core.plan import vertex_induced_rewrite
 from repro.oracle import assert_equivalent
 from repro.oracle_sql import count_sql, matches_sql, mni_support_sql
 from repro.reference import ref_count, ref_matches, ref_mni_support
@@ -26,15 +26,15 @@ from .conftest import (
 )
 
 
-def _check_count(g, pattern, induced=False):
+def _check_count(g, pattern):
     """One engine count on the loaded graph ``g``, verified against
     reference and DuckDB."""
-    got = count_matches(g.edges, pattern, labels=g.labels, induced=induced)
-    assert got == ref_count(ref_of(g.graph), pattern, induced=induced), "engine != reference"
-    cnt_df = match_df(g.edges, pattern, labels=g.labels, induced=induced).agg(
+    got = count_matches(g.edges, pattern, labels=g.labels)
+    assert got == ref_count(ref_of(g.graph), pattern), "engine != reference"
+    cnt_df = match_df(g.edges, pattern, labels=g.labels).agg(
         F.count("*").alias("cnt")
     )
-    assert_equivalent(cnt_df, count_sql(pattern, induced=induced), edges=g.graph.edges_pdf)
+    assert_equivalent(cnt_df, count_sql(pattern), edges=g.graph.edges_pdf)
     return got
 
 
@@ -47,7 +47,7 @@ class TestPlainPatterns:
         "name", ["edge", "wedge", "triangle", "path4", "cycle4", "diamond", "clique4"]
     )
     def test_vertex_induced_small(self, name, small):
-        _check_count(small, PLAIN_PATTERNS[name], induced=True)
+        _check_count(small, vertex_induced_rewrite(PLAIN_PATTERNS[name]))
 
     @pytest.mark.parametrize("name", ["triangle", "diamond", "clique4", "house"])
     def test_edge_induced_fig6(self, name, fig6):
@@ -66,7 +66,7 @@ class TestConstrainedPatterns:
     def test_p8_equals_induced_diamond(self, small):
         """§6.5: p8 is the vertex-induced chordal square."""
         assert count_matches(small.edges, ALL_EVAL["p8"]) == count_matches(
-            small.edges, ALL_EVAL["p1"], induced=True
+            small.edges, vertex_induced_rewrite(ALL_EVAL["p1"])
         )
 
     def test_anti_vertex_requires_outside_witness_absence(self, small):
@@ -179,13 +179,6 @@ class TestMNISupport:
 
 
 class TestPlanIntegration:
-    def test_explicit_plan_reuse(self, small):
-        p = PLAIN_PATTERNS["diamond"]
-        plan = generate_plan(p)
-        a = match_df(small.edges, p, plan=plan).count()
-        b = match_df(small.edges, p).count()
-        assert a == b
-
     def test_match_columns_named_by_vertex(self, small):
         df = match_df(small.edges, chain(4))
         assert df.columns == ["v0", "v1", "v2", "v3"]

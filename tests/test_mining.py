@@ -14,6 +14,7 @@ from repro.core.mining import (
     motif_name,
 )
 from repro.core.pattern import Pattern, chain, clique, generate_all_vertex_induced, star
+from repro.core.plan import vertex_induced_rewrite
 from repro.oracle import assert_equivalent
 from repro.oracle_sql import count_sql
 from repro.reference import RefGraph, ref_count, ref_fsm
@@ -25,15 +26,15 @@ class TestMotifCounting:
     def test_3motifs_vs_reference(self, small):
         got = count_motifs(small.edges, 3)
         rg = ref_of(small.graph)
-        assert got["triangle"] == ref_count(rg, clique(3), induced=True)
-        assert got["wedge"] == ref_count(rg, star(3), induced=True)
+        assert got["triangle"] == ref_count(rg, vertex_induced_rewrite(clique(3)))
+        assert got["wedge"] == ref_count(rg, vertex_induced_rewrite(star(3)))
 
     def test_4motifs_vs_reference(self, small):
         got = count_motifs(small.edges, 4)
         rg = ref_of(small.graph)
         assert len(got) == 6
         for p in generate_all_vertex_induced(4):
-            assert got[motif_name(p)] == ref_count(rg, p, induced=True)
+            assert got[motif_name(p)] == ref_count(rg, vertex_induced_rewrite(p))
 
     def test_3motif_sum_is_connected_triples(self, small):
         """Every connected 3-set is exactly one motif: wedge+triangle =
@@ -55,7 +56,7 @@ class TestMotifCounting:
             [(int(got["triangle"]),)], "cnt long"
         )
         assert_equivalent(
-            cnt_df, count_sql(clique(3), induced=True), edges=small.graph.edges_pdf
+            cnt_df, count_sql(vertex_induced_rewrite(clique(3))), edges=small.graph.edges_pdf
         )
 
 
@@ -72,7 +73,7 @@ class TestCliqueCounting:
 
     def test_clique_edge_equals_vertex_induced(self, small):
         assert count_cliques(small.edges, 4) == count_matches(
-            small.edges, clique(4), induced=True
+            small.edges, vertex_induced_rewrite(clique(4))
         )
 
 

@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.core.pattern import Pattern, chain, clique, star
+from repro.core.plan import vertex_induced_rewrite
 from repro.graph.gengraph import from_edge_list, powerlaw_graph
 from repro.oracle_sql import _vertex_orbits, count_sql, matches_sql, mni_support_sql
 from repro.reference import RefGraph, ref_count, ref_matches, ref_mni_support
@@ -44,10 +45,10 @@ class TestCountSql:
 
     @pytest.mark.parametrize("name", ["wedge", "path4", "cycle4", "diamond", "clique4"])
     def test_induced_counts(self, name, graph):
-        p = PLAIN_PATTERNS[name]
+        p = vertex_induced_rewrite(PLAIN_PATTERNS[name])
         rg = RefGraph(graph.edge_tuples())
-        got = _duck_count(count_sql(p, induced=True), graph.edges_pdf)
-        assert got == ref_count(rg, p, induced=True)
+        got = _duck_count(count_sql(p), graph.edges_pdf)
+        assert got == ref_count(rg, p)
 
     @pytest.mark.parametrize("name", sorted(CONSTRAINED_PATTERNS))
     def test_constrained_counts(self, name, graph):

@@ -1,18 +1,19 @@
 """Unit tests for exploration-plan generation (§4.1–4.3, Figure 5)."""
+import hashlib
 import itertools
 
+import networkx as nx
 import pytest
 
-from repro.core.pattern import Pattern, chain, clique, star
+from repro.core.pattern import Pattern, chain, clique, generate_all_vertex_induced, star
 from repro.core.plan import (
-    _core_order,
     break_symmetries,
     generate_plan,
     min_connected_vertex_cover,
     vertex_induced_rewrite,
 )
 
-from .conftest import CONSTRAINED_PATTERNS, PLAIN_PATTERNS
+from .conftest import ALL_EVAL, CONSTRAINED_PATTERNS, LABELED_PATTERNS, PLAIN_PATTERNS
 
 ALL_PATTERNS = {**PLAIN_PATTERNS, **CONSTRAINED_PATTERNS}
 
@@ -131,36 +132,17 @@ class TestMatchingOrders:
         and the engine binds the core in it."""
         d = Pattern.of(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
         plan = generate_plan(d)
-        assert _core_order(plan.core, plan.partial_orders) == (1, 2)
         assert plan.vertex_order[:2] == (1, 2)
 
     def test_orders_respect_partial_order(self):
-        for name, p in ALL_PATTERNS.items():
-            plan = generate_plan(p)
-            po = [
-                (a, b)
-                for a, b in plan.partial_orders
-                if a in plan.core and b in plan.core
-            ]
-            seq = _core_order(plan.core, plan.partial_orders)
-            pos = {v: i for i, v in enumerate(seq)}
-            for a, b in po:
-                assert pos[a] < pos[b], (name, seq, (a, b))
-
-    def test_core_order_is_first_consistent_permutation(self):
-        """The core order is the first permutation of the core, in
-        ``itertools.permutations`` order, that the partial order allows."""
-        for (name, p), induced in itertools.product(ALL_PATTERNS.items(), (False, True)):
-            plan = generate_plan(p, induced=induced)
-            first = next(
-                seq for seq in itertools.permutations(plan.core)
-                if all(
-                    seq.index(a) < seq.index(b)
-                    for a, b in plan.partial_orders
-                    if a in seq and b in seq
-                )
-            )
-            assert _core_order(plan.core, plan.partial_orders) == first, (name, induced)
+        """Every condition ``(a, b)`` has ``a < b`` and the core is
+        ascending, so the core in id order respects the partial order
+        (and is the first permutation of the core that does)."""
+        for (name, p), rewrite in itertools.product(ALL_PATTERNS.items(), (False, True)):
+            q = vertex_induced_rewrite(p) if rewrite else p
+            plan = generate_plan(q)
+            assert all(a < b for a, b in plan.partial_orders), (name, rewrite)
+            assert plan.core == tuple(sorted(plan.core)), (name, rewrite)
 
 
 class TestPlan:
@@ -169,26 +151,23 @@ class TestPlan:
         p = ALL_PATTERNS[name]
         plan = generate_plan(p)
         order = plan.vertex_order
-        assert set(order) == set(plan.pattern.regular_vertices)
+        assert set(order) == set(p.regular_vertices)
         bound = set()
         for i, v in enumerate(order):
             if i:
-                assert set(plan.pattern.get_neighbors(v)) & bound
+                assert set(p.get_neighbors(v)) & bound
             bound.add(v)
 
     @pytest.mark.parametrize("name", sorted(PLAIN_PATTERNS))
     def test_induced_plan_adds_anti_edges(self, name):
         p = PLAIN_PATTERNS[name]
-        plan = generate_plan(p, induced=True)
         n_missing = sum(
             1
             for a, b in itertools.combinations(p.regular_vertices, 2)
             if not p.are_connected(a, b)
         )
-        assert len(plan.pattern.anti_edges) == len(p.anti_edges) + n_missing
-
-    def test_plan_counts_automorphisms(self):
-        assert generate_plan(clique(4)).num_automorphisms == 24
+        q = vertex_induced_rewrite(p)
+        assert len(q.anti_edges) == len(p.anti_edges) + n_missing
 
     def test_core_first_in_vertex_order(self):
         for p in PLAIN_PATTERNS.values():
@@ -203,14 +182,43 @@ class TestTheorem31:
 
     @pytest.mark.parametrize("name", ["wedge", "path4", "cycle4", "diamond"])
     def test_rewrite_on_reference(self, name):
+        """The reference's count of p' times |Aut(p)| equals networkx's
+        count of induced subgraph isomorphisms onto p, which shares no
+        code with the rewrite."""
         from repro.reference import RefGraph, ref_count
 
         from .conftest import FIG6_EDGES
 
         p = PLAIN_PATTERNS[name]
-        p_prime = vertex_induced_rewrite(p)
-        g = RefGraph(FIG6_EDGES)
-        assert ref_count(g, p, induced=True) == ref_count(g, p_prime, induced=False)
+        gm = nx.algorithms.isomorphism.GraphMatcher(
+            nx.Graph(FIG6_EDGES), nx.Graph(list(p.edges))
+        )
+        n_induced = sum(1 for _ in gm.subgraph_isomorphisms_iter())
+        got = ref_count(RefGraph(FIG6_EDGES), vertex_induced_rewrite(p))
+        assert got * len(p.automorphisms()) == n_induced
 
     def test_rewrite_is_noop_for_cliques(self):
         assert vertex_induced_rewrite(clique(4)).anti_edges == frozenset()
+
+
+#: sha256 of ``(name, partial_orders, core, vertex_order)`` for every
+#: pinned pattern, plain and Theorem 3.1-rewritten. The plans decide the
+#: Spark jobs every query runs: a change here must be deliberate.
+PLAN_DIGEST = "abceafa7190e4ddf09f5f0d5ddd8345b602d4cc9f7d7c6ce7bb16eaf136970bb"
+
+
+def test_plans_are_pinned():
+    """The test zoo, p1–p8 and the 3- and 4-vertex motifs keep their
+    plans."""
+    pinned = {**PLAIN_PATTERNS, **CONSTRAINED_PATTERNS, **LABELED_PATTERNS, **ALL_EVAL}
+    pinned |= {
+        f"motif{k}-{i}": p
+        for k in (3, 4)
+        for i, p in enumerate(generate_all_vertex_induced(k))
+    }
+    rows = []
+    for name, p in sorted(pinned.items()):
+        for q in (p, vertex_induced_rewrite(p)):
+            plan = generate_plan(q)
+            rows.append((name, plan.partial_orders, plan.core, plan.vertex_order))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == PLAN_DIGEST

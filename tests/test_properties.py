@@ -12,7 +12,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core.matcher import count_matches, match_df
 from repro.core.mining import _iso_map
 from repro.core.pattern import Pattern, _norm_edge
-from repro.core.plan import break_symmetries, generate_plan, min_connected_vertex_cover
+from repro.core.plan import (
+    break_symmetries,
+    generate_plan,
+    min_connected_vertex_cover,
+    vertex_induced_rewrite,
+)
 from repro.graph.gengraph import from_edge_list
 from repro.oracle_sql import count_sql
 from repro.reference import RefGraph, ref_count, ref_matches
@@ -181,14 +186,18 @@ class TestReferenceVsSqlProperties:
     @settings(max_examples=20, deadline=None)
     @given(connected_patterns(), small_graphs())
     def test_induced_counts_via_theorem31(self, p, edges):
-        from repro.core.plan import vertex_induced_rewrite
+        """Edge-induced matches of the rewrite times |Aut(p)| are the
+        induced subgraph isomorphisms networkx finds onto ``p``."""
+        import networkx as nx
 
         if not edges:
             return
-        rg = RefGraph(edges)
-        assert ref_count(rg, p, induced=True) == ref_count(
-            rg, vertex_induced_rewrite(p)
+        gm = nx.algorithms.isomorphism.GraphMatcher(
+            nx.Graph(edges), nx.Graph(list(p.edges))
         )
+        n_induced = sum(1 for _ in gm.subgraph_isomorphisms_iter())
+        got = ref_count(RefGraph(edges), vertex_induced_rewrite(p))
+        assert got * len(p.automorphisms()) == n_induced
 
 
 class TestEngineProperties:
@@ -206,7 +215,8 @@ class TestEngineProperties:
         n = max(max(e) for e in edges) + 1
         g = from_edge_list(edges, labels={v: rnd.randrange(2) for v in range(n)})
         e, lab = g.to_spark(sparks), g.labels_to_spark(sparks)
-        want = sorted(ref_matches(RefGraph(g.edge_tuples(), g.label_dict()), p, induced))
-        rows = match_df(e, p, labels=lab, induced=induced).collect()
+        q = vertex_induced_rewrite(p) if induced else p
+        want = sorted(ref_matches(RefGraph(g.edge_tuples(), g.label_dict()), q))
+        rows = match_df(e, q, labels=lab).collect()
         assert sorted(tuple(r) for r in rows) == want
-        assert count_matches(e, p, labels=lab, induced=induced) == len(want)
+        assert count_matches(e, q, labels=lab) == len(want)
