@@ -14,17 +14,17 @@ an independent executor (DuckDB), not just against "it ran".
 from __future__ import annotations
 
 from .core.pattern import Pattern
-from .core.plan import ExplorationPlan, generate_plan
+from .core.plan import generate_plan
 
 
-def _step(p: Pattern, plan: ExplorationPlan, i: int, po: set) -> str:
-    """Step ``i`` of the plan's vertex order as one materialized CTE
+def _step(p: Pattern, order: tuple[int, ...], i: int, po: set) -> str:
+    """Step ``i`` of the plan's vertex ``order`` as one materialized CTE
     ``s{i}``: the previous step's rows ``m`` extended by vertex ``u`` =
     ``t.dst``, reached through an edge from ``u``'s first bound neighbour
     and one more ``edges`` alias per further bound neighbour, with every
     condition on ``u`` and the bound vertices."""
-    bound = plan.vertex_order[:i]
-    u = plan.vertex_order[i]
+    bound = order[:i]
+    u = order[i]
 
     def col(x: int) -> str:
         return new if x == u else f"m.v{x}"
@@ -84,12 +84,13 @@ def matches_sql(pattern: Pattern, symmetry_breaking: bool = True) -> str:
     p = pattern
     plan = generate_plan(p)
     po = set(plan.partial_orders) if symmetry_breaking else set()
-    steps = ", ".join(_step(p, plan, i, po) for i in range(len(plan.vertex_order)))
+    order = plan.vertex_order
+    steps = ", ".join(_step(p, order, i, po) for i in range(len(order)))
     conds = _anti_vertex_conditions(p)
     where = (" WHERE " + " AND ".join(conds)) if conds else ""
     cols = ", ".join(f"m.v{u}" for u in sorted(p.regular_vertices))
     return (f"WITH {steps} SELECT {cols} "
-            f"FROM s{len(plan.vertex_order) - 1} m{where}")
+            f"FROM s{len(order) - 1} m{where}")
 
 
 def count_sql(pattern: Pattern, symmetry_breaking: bool = True) -> str:
