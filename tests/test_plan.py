@@ -144,6 +144,22 @@ class TestMatchingOrders:
             assert all(a < b for a, b in plan.partial_orders), (name, rewrite)
             assert plan.core == tuple(sorted(plan.core)), (name, rewrite)
 
+    def test_core_order_is_first_consistent_permutation(self):
+        """The core in id order is the first permutation of the core, in
+        ``itertools.permutations`` order, that the partial order allows."""
+        for (name, p), rewrite in itertools.product(ALL_PATTERNS.items(), (False, True)):
+            q = vertex_induced_rewrite(p) if rewrite else p
+            plan = generate_plan(q)
+            first = next(
+                seq for seq in itertools.permutations(plan.core)
+                if all(
+                    seq.index(a) < seq.index(b)
+                    for a, b in plan.partial_orders
+                    if a in seq and b in seq
+                )
+            )
+            assert plan.core == first, (name, rewrite)
+
 
 class TestPlan:
     @pytest.mark.parametrize("name", sorted(ALL_PATTERNS))
