@@ -293,39 +293,33 @@ def chain(k: int) -> Pattern:
 
 
 # -- Figure 2 generators [G1-G2] ------------------------------------------
+def _distinct(patterns: Iterable[Pattern]) -> list[Pattern]:
+    """One canonical form per isomorphism class of ``patterns``, in
+    canonical-key order."""
+    return sorted({p.canonical() for p in patterns}, key=Pattern.canonical_key)
+
+
 def generate_all_vertex_induced(size: int) -> list[Pattern]:
     """[G2] All unique connected unlabeled patterns with ``size`` vertices
     (the motif set: 2 patterns for size 3, 6 for size 4, 21 for size 5)."""
     pairs = list(itertools.combinations(range(size), 2))
-    seen: set[Pattern] = set()
-    for r in range(size - 1, len(pairs) + 1):
-        for edges in itertools.combinations(pairs, r):
-            try:
-                p = Pattern.of(size, edges)
-            except ValueError:
-                continue
-            seen.add(p.canonical())
-    return sorted(seen, key=Pattern.canonical_key)
+    return _distinct(
+        Pattern.of(size, edges)
+        for r in range(size - 1, len(pairs) + 1)
+        for edges in itertools.combinations(pairs, r)
+        if connected(range(size), edges)
+    )
 
 
 def generate_all_edge_induced(size: int) -> list[Pattern]:
     """[G1] All unique connected unlabeled patterns with ``size`` edges
     and no isolated vertices (1 pattern for size 2: the wedge)."""
-    seen: set[Pattern] = set()
-    for n in range(2, size + 2):
-        pairs = list(itertools.combinations(range(n), 2))
-        if len(pairs) < size:
-            continue
-        for edges in itertools.combinations(pairs, size):
-            used = {v for e in edges for v in e}
-            if len(used) != n:
-                continue
-            try:
-                p = Pattern.of(n, edges)
-            except ValueError:
-                continue
-            seen.add(p.canonical())
-    return sorted(seen, key=Pattern.canonical_key)
+    return _distinct(
+        Pattern.of(n, edges)
+        for n in range(2, size + 2)
+        for edges in itertools.combinations(itertools.combinations(range(n), 2), size)
+        if connected(range(n), edges)
+    )
 
 
 # -- Figure 2 combinator [C1] --------------------------------------------
@@ -333,17 +327,14 @@ def extend_by_edge(patterns: Iterable[Pattern]) -> list[Pattern]:
     """[C1] All unique patterns formed by adding one edge to a pattern —
     either between two existing non-adjacent regular vertices, or to a
     fresh (wildcard-labeled) vertex. Labels and constraints are kept."""
-    seen: set[Pattern] = set()
+    grown = []
     for p in patterns:
         regs = p.regular_vertices
         for a, b in itertools.combinations(regs, 2):
             if not p.are_connected(a, b) and not p.are_anti_adjacent(a, b):
-                q = p.add_edge(a, b)
-                seen.add(q.canonical())
-        for a in regs:
-            q = p.add_edge(a, p.n)
-            seen.add(q.canonical())
-    return sorted(seen, key=Pattern.canonical_key)
+                grown.append(p.add_edge(a, b))
+        grown.extend(p.add_edge(a, p.n) for a in regs)
+    return _distinct(grown)
 
 
 # -- [L1] -----------------------------------------------------------------
