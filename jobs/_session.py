@@ -1,9 +1,9 @@
-"""Shared SparkSession bootstrap for spark-submit job entrypoints.
+"""The one SparkSession builder: pytest's ``spark`` fixture (the root
+conftest.py), the jobs and ``perfbench/run.py`` all start Spark here.
 
-Jobs run standalone (outside pytest), so they build their own local
-session with the same conventions as conftest.py: local[*], automatic
-broadcast joins disabled (``autoBroadcastJoinThreshold=-1``, so the
-baselines' joins exercise real shuffles), Arrow on. The engine
+The session is local[*], with automatic broadcast joins disabled
+(``autoBroadcastJoinThreshold=-1``, so the baselines' joins exercise
+real shuffles), Arrow on. The engine
 broadcasts ``adj`` and the label table into its joins by explicit hint,
 which overrides the threshold, and reads ``adj`` from the copy that
 ``SparkGraph.load`` caches once per load. The console progress bar is

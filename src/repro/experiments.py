@@ -369,12 +369,12 @@ def render(table: str, results: dict[str, Cell]) -> str:
 def run_table2() -> tuple[str, list[dict]]:
     import pandas as pd
 
-    pdf = datasets.dataset_stats()
-    rows = pdf.to_dict("records")
+    rows = [{**r, "L": None if pd.isna(r["L"]) else int(r["L"])}
+            for r in datasets.dataset_stats().to_dict("records")]
     md = markdown_table(
         ["G", "|V(G)|", "|E(G)|", "|L(G)|", "Max deg", "Avg deg"],
-        [[r["G"], r["V"], r["E"],
-          "—" if pd.isna(r["L"]) else int(r["L"]), r["max_deg"], r["avg_deg"]]
+        [[r["G"], r["V"], r["E"], "—" if r["L"] is None else r["L"],
+          r["max_deg"], r["avg_deg"]]
          for r in rows],
     )
     return md, rows
@@ -444,7 +444,8 @@ def engine_commit() -> str:
 
 
 def _save(path: Path, commit: str, **payload) -> None:
-    path.write_text(json.dumps({"engine_commit": commit, **payload}, indent=1))
+    path.write_text(json.dumps({"engine_commit": commit, **payload}, indent=1,
+                               allow_nan=False))
 
 
 def save_cells(path: Path, commit: str, results: dict[str, Cell]) -> None:

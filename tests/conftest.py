@@ -3,8 +3,8 @@
 ``spark`` comes from the root conftest (one session-scoped local
 session). Here we add tiny graphs, loaded as ``SparkGraph``s, and a
 pattern zoo used across matcher/baseline/oracle tests, plus a
-session-wide shuffle-partition reduction — the data is tiny and
-64-partition shuffles would be pure scheduler overhead.
+session-wide shuffle-partition reduction — the data is tiny and the
+session's 32-partition shuffles would be pure scheduler overhead.
 """
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
 """Tests for the harness and table runners (cheap paths only — the full
 table sweeps are exercised by the benchmarks)."""
+import json
 import time
 
 import pytest
@@ -107,6 +108,7 @@ class TestTable2:
         md, rows = run_table2()
         assert "| MI |" in md and "| FR |" in md
         assert len(rows) == 5
+        json.dumps(rows, allow_nan=False)
 
 
 class TestEvalPatterns:
