@@ -3,7 +3,8 @@ conftest.py), the jobs and ``perfbench/run.py`` all start Spark here.
 
 The session is local[*], with automatic broadcast joins disabled
 (``autoBroadcastJoinThreshold=-1``, so the baselines' joins exercise
-real shuffles), Arrow on. The engine
+real shuffles), Arrow on, and a fixed 32 shuffle partitions, which the
+test fixtures override for their tiny graphs (``sparks``). The engine
 broadcasts ``adj`` and the label table into its joins by explicit hint,
 which overrides the threshold, and reads ``adj`` from the copy that
 ``SparkGraph.load`` caches once per load. The console progress bar is
@@ -28,8 +29,7 @@ def get_session(app: str) -> SparkSession:
     )
     spark = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions",
-                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "32"))
+        .config("spark.sql.shuffle.partitions", 32)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

@@ -37,6 +37,7 @@ from pyspark.sql.types import (
 
 from .common import (
     BUDGET,
+    FSM_EDGES,
     BaselineMetrics,
     encode_induced,
     encode_labeled_edge_embedding,
@@ -46,10 +47,6 @@ from .common import (
 
 if TYPE_CHECKING:
     from ..harness import SparkGraph
-
-
-def _vertex_level1(edges: DataFrame) -> DataFrame:
-    return edges.select(F.array(F.col("src")).alias("vs")).distinct()
 
 
 def _probed_count(df: DataFrame, m: BaselineMetrics, budget: Optional[int]) -> int:
@@ -106,7 +103,9 @@ def bfs_enumerate(
     edges, adj_b = g.edges, g.adj_b
     canonical = _per_embedding(is_canonical_embedding, adj_b, BooleanType())
     clique = _per_embedding(is_clique, adj_b, BooleanType())
-    emb = _vertex_level1(edges).cache()
+    # level 1 reads the cached adj; unpersisting this projection below
+    # leaves adj cached
+    emb = g.adj.select(F.array("src").alias("vs"))
     _probed_count(emb, m, budget)
     for level in range(2, k + 1):
         cand = _expand_by_vertex(emb, edges).cache()
@@ -181,10 +180,7 @@ _ENC_SCHEMA = StructType([
 
 
 def bfs_fsm(
-    g: SparkGraph,
-    threshold: int,
-    max_edges: int = 3,
-    budget: Optional[int] = BUDGET,
+    g: SparkGraph, threshold: int, budget: Optional[int] = BUDGET
 ) -> BaselineMetrics:
     """Arabesque-style FSM: materialize every edge-induced embedding per
     level, isomorphism-encode each one to find its labeled pattern,
@@ -218,7 +214,7 @@ def bfs_fsm(
     _probed_count(emb, m, budget)
 
     frequent_final: dict[str, int] = {}
-    for level in range(1, max_edges + 1):
+    for level in range(1, FSM_EDGES + 1):
         if level > 1:
             memb = emb.select(
                 "es", F.explode(F.flatten(F.col("es"))).alias("mv")
@@ -271,7 +267,7 @@ def bfs_fsm(
         freq = {r["code"]: r["support"] for r in doms if r["support"] >= threshold}
         if level >= 2:
             frequent_final.update(freq)
-        if not freq or level == max_edges:
+        if not freq or level == FSM_EDGES:
             coded.unpersist()
             break
         emb = coded.where(F.col("code").isin(list(freq))).select("es").cache()

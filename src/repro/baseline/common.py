@@ -9,7 +9,7 @@ Figure 1b/1c profiling tables can be regenerated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pandas as pd
 
@@ -19,6 +19,10 @@ from ..core.pattern import Pattern
 #: Explored-embedding budget for baseline systems: the deterministic
 #: laptop-scale analog of the paper's OOM / disk / 5-hour limits.
 BUDGET = 2_000_000
+
+#: The largest pattern the baselines' FSM mines, in edges: the paper's
+#: 3-edge FSM.
+FSM_EDGES = 3
 
 
 class BudgetExceeded(Exception):
@@ -35,7 +39,6 @@ class BaselineMetrics:
     canonicality: int = 0  # per-embedding canonicality computations
     isomorphism: int = 0  # per-embedding isomorphism computations
     result: object = None
-    extras: dict = field(default_factory=dict)
 
     def charge(self, n: int, budget: int | None) -> None:
         self.explored += n

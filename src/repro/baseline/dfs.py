@@ -26,6 +26,7 @@ from py4j.protocol import Py4JJavaError
 from ..core.pattern import Pattern, connected
 from .common import (
     BUDGET,
+    FSM_EDGES,
     BaselineMetrics,
     BudgetExceeded,
     count_pattern_in_set,
@@ -93,7 +94,7 @@ def dfs_run(
     budget fails the Spark job, which stops every other task, and the run
     raises :class:`BudgetExceeded`."""
     adj_b = g.adj_b
-    starts = g.edges.select("src").distinct().repartition(TASKS, "src")
+    starts = g.adj.select("src").repartition(TASKS, "src")
 
     def task(rows):
         # a BudgetExceeded raised here fails the task, and with it the job
@@ -176,15 +177,12 @@ def dfs_match_pattern(
 
 
 def dfs_fsm(
-    g: SparkGraph,
-    threshold: int,
-    max_edges: int = 3,
-    budget: Optional[int] = BUDGET,
+    g: SparkGraph, threshold: int, budget: Optional[int] = BUDGET
 ) -> BaselineMetrics:
     """Fractal-style FSM: depth-first edge-induced enumeration with
     global MNI aggregation (the O(|V|)-per-pattern-vertex domains the
     paper calls Fractal's scalability bottleneck). Domains for *every*
-    labeled pattern up to ``max_edges`` edges are aggregated; the
+    labeled pattern up to ``FSM_EDGES`` edges are aggregated; the
     threshold is applied at the end of each size, with anti-monotone
     pruning between sizes."""
     labels_b = g.labels_b
@@ -192,7 +190,7 @@ def dfs_fsm(
     frequent_final: dict[str, int] = {}
     allowed: Optional[set[str]] = None  # frequent codes of previous size
 
-    for ne in range(1, max_edges + 1):
+    for ne in range(1, FSM_EDGES + 1):
         prev_allowed = allowed
 
         def leaf(vs, adj, counters):

@@ -32,14 +32,12 @@ def gminer_triangle_count(g: SparkGraph) -> BaselineMetrics:
     plus the adjacency list of every neighbor (each list is duplicated
     into deg-many tasks, the data blow-up the paper attributes to
     G-Miner's task queue) — and the triangle counting itself is local
-    per-task computation over those shipped lists."""
+    per-task computation over those shipped lists. The tasks start from
+    the loaded graph's cached sorted adjacency list per vertex (``adj``),
+    as PRG's matching does."""
     edges = g.edges
     m = BaselineMetrics()
-    # task construction: materialized, sorted adjacency list per vertex
-    tasks = edges.groupBy("src").agg(
-        F.sort_array(F.collect_list("dst")).alias("nbrs")
-    ).cache()
-    m.extras["tasks"] = tasks.count()
+    tasks = g.adj.select("src", F.col("nb").alias("nbrs"))
     # ship each neighbor's adjacency list into the task (duplication!)
     nbr_adj = tasks.select(
         F.col("src").alias("a"), F.col("nbrs").alias("nbrs_a")
@@ -73,7 +71,6 @@ def gminer_triangle_count(g: SparkGraph) -> BaselineMetrics:
         .collect()[0][0]
         or 0
     )
-    tasks.unpersist()
     return m
 
 
@@ -91,7 +88,7 @@ def gminer_match_labeled_triangle(g: SparkGraph, pattern: Pattern) -> BaselineMe
     m = BaselineMetrics()
     # preprocessing: label index
     index = labels.groupBy("label").agg(F.collect_list("v").alias("vs")).cache()
-    m.extras["index_entries"] = index.count()
+    index.count()
 
     def labeled(col: str, lab) -> DataFrame:
         return labels.where(F.col("label") == F.lit(lab)).select(

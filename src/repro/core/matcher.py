@@ -105,10 +105,7 @@ def match_df(
         raise ValueError("pattern has labels but no label table was given")
 
     adj = adjacency(edges)
-    anti_nbrs = [
-        [w for w in p.get_anti_neighbors(av) if w not in p.anti_vertices]
-        for av in sorted(p.anti_vertices)
-    ]
+    anti_nbrs = [p.get_anti_neighbors(av) for av in sorted(p.anti_vertices)]
     read = {w for ws in anti_nbrs for w in ws} | {
         w
         for i, u in enumerate(order)

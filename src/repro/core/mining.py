@@ -84,9 +84,9 @@ def exists_pattern(
     edges: DataFrame, pattern: Pattern, labels: Optional[DataFrame] = None
 ) -> bool:
     """Existence query with early termination (Fig. 4f / §5.3):
-    ``limit(1)`` lets Spark cancel outstanding tasks once a witness row
-    is produced."""
-    return len(match_df(edges, pattern, labels=labels).limit(1).take(1)) > 0
+    ``take(1)`` is a ``limit(1)``, which lets Spark cancel outstanding
+    tasks once a witness row is produced."""
+    return len(match_df(edges, pattern, labels=labels).take(1)) > 0
 
 
 def exists_clique(edges: DataFrame, k: int) -> bool:
@@ -100,8 +100,11 @@ def exists_clique(edges: DataFrame, k: int) -> bool:
     but it would intersect 13 adjacency arrays deep before its first
     answer; staging stops at the first absent size, which is the dataflow
     analog of Peregrine abandoning a start vertex as soon as candidates
-    run dry.)"""
-    for j in range(3, k + 1):
+    run dry.) The stages start at 3, since a graph with a triangle has an
+    edge; only k = 2 runs the one stage that looks for an edge."""
+    if k < 2:
+        raise ValueError(f"a clique has at least 2 vertices, got k={k}")
+    for j in range(min(k, 3), k + 1):
         if not exists_pattern(edges, clique(j)):
             return False
     return True

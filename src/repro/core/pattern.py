@@ -335,55 +335,3 @@ def extend_by_edge(patterns: Iterable[Pattern]) -> list[Pattern]:
                 grown.append(p.add_edge(a, b))
         grown.extend(p.add_edge(a, p.n) for a in regs)
     return _distinct(grown)
-
-
-# -- [L1] -----------------------------------------------------------------
-#: Number of (integer) arguments each pattern-file tag takes.
-_TAG_ARITY = {"e": 2, "ae": 2, "l": 2, "av": 1}
-
-
-def load_patterns(filename: str) -> list[Pattern]:
-    """[L1] Load patterns from a text file.
-
-    Format: one pattern per block, blocks separated by blank lines.
-    Lines: ``e a b`` (edge), ``ae a b`` (anti-edge), ``l v label``
-    (label), ``av v`` (mark v as anti-vertex). Vertex count inferred.
-    A malformed line raises ``ValueError`` naming its line number.
-    """
-    patterns = []
-    blocks: list[list[tuple[int, str]]] = [[]]
-    with open(filename) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                if blocks[-1]:
-                    blocks.append([])
-            elif not line.startswith("#"):
-                blocks[-1].append((lineno, line))
-    for block in blocks:
-        if not block:
-            continue
-        edges, anti_edges, labels, avs = [], [], {}, []
-        nmax = 0
-        for lineno, line in block:
-            tag, *args = line.split()
-            bad = f"bad pattern line {lineno}: {line!r}"
-            if len(args) != _TAG_ARITY.get(tag):
-                raise ValueError(bad)
-            try:
-                a = [int(x) for x in args]
-            except ValueError:
-                raise ValueError(bad) from None
-            if tag == "e":
-                edges.append((a[0], a[1]))
-            elif tag == "ae":
-                anti_edges.append((a[0], a[1]))
-            elif tag == "l":
-                labels[a[0]] = a[1]
-                a = a[:1]  # the label is not a vertex id
-            else:
-                avs.append(a[0])
-            nmax = max([nmax] + [v + 1 for v in a])
-        lab = [labels.get(v) for v in range(nmax)]
-        patterns.append(Pattern.of(nmax, edges, anti_edges, lab, avs))
-    return patterns

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -449,15 +449,7 @@ def _save(path: Path, commit: str, **payload) -> None:
 
 
 def save_cells(path: Path, commit: str, results: dict[str, Cell]) -> None:
-    def jsonable(v):
-        try:
-            json.dumps(v)
-            return v
-        except TypeError:  # e.g. dicts keyed by tuples
-            return repr(v)
-
-    _save(path, commit, cells={
-        n: {**asdict(c), "value": jsonable(c.value)} for n, c in results.items()})
+    _save(path, commit, cells={n: vars(c) for n, c in results.items()})
 
 
 def load_cells(path: Path) -> tuple[str, dict[str, Cell]]:

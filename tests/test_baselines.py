@@ -253,10 +253,6 @@ class TestGMinerBaseline:
         m = gminer_match_labeled_triangle(small_lab, P2)
         assert m.result == count_matches(small_lab.edges, P2, labels=small_lab.labels)
 
-    def test_task_materialization_counted(self, small):
-        m = gminer_triangle_count(small)
-        assert m.extras["tasks"] == small.graph.n_vertices
-
     def test_rejects_non_triangle(self, small_lab):
         with pytest.raises(ValueError):
             gminer_match_labeled_triangle(small_lab, star(4).with_labels([1, 2, 3, 1]))

@@ -9,9 +9,11 @@ from benchmarks.test_cells import CELLS
 from repro.experiments import (
     CATALOG,
     disagreements,
+    load_cells,
     render,
     run_table2,
     run_table,
+    save_cells,
     specs,
     summarize_table1,
 )
@@ -98,6 +100,15 @@ def test_every_system_returns_prgs_answer(tiny_results, table):
     ran = {n for n, s in CATALOG.items() if s.table == table and s.run is not None}
     assert {n for n, c in results.items() if c.status == OK} == ran
     assert disagreements(results) == []
+
+
+@pytest.mark.parametrize("table", CELL_TABLES)
+def test_cell_values_round_trip(tiny_results, table, tmp_path):
+    """Every cell value is JSON-native: the results file gives back the
+    cells as they were run."""
+    results = tiny_results(table)
+    save_cells(tmp_path / "t.json", "c", results)
+    assert load_cells(tmp_path / "t.json")[1] == results
 
 
 @pytest.mark.parametrize("app", ["4-Clique", "3-Motif"])

@@ -100,6 +100,15 @@ class TestExistence:
         for k in (3, 5, 7):
             assert exists_clique(small.edges, k) == (count_cliques(small.edges, k) > 0)
 
+    def test_two_clique_is_an_edge(self, sparks):
+        from repro.core.mining import exists_clique
+        schema = "src long, dst long"
+        assert not exists_clique(sparks.createDataFrame([], schema), 2)
+        one_edge = sparks.createDataFrame([(0, 1), (1, 0)], schema)
+        assert exists_clique(one_edge, 2)
+        with pytest.raises(ValueError):
+            exists_clique(one_edge, 1)
+
 
 class TestClusteringCoefficient:
     def test_cc_value(self, small):

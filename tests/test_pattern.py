@@ -1,6 +1,5 @@
 """Unit tests for the first-class Pattern construct (§3.1, Figure 2)."""
 import itertools
-import re
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.core.pattern import (
     extend_by_edge,
     generate_all_edge_induced,
     generate_all_vertex_induced,
-    load_patterns,
     star,
 )
 
@@ -262,35 +260,6 @@ class TestAutomorphisms:
             for b in autos:
                 comp = tuple(a[b[i]] for i in range(len(a)))
                 assert comp in autos
-
-
-class TestLoadPatterns:
-    def test_roundtrip(self, tmp_path):
-        f = tmp_path / "p.txt"
-        f.write_text(
-            "# a triangle with labels\n"
-            "e 0 1\ne 1 2\ne 0 2\nl 0 1\nl 1 2\nl 2 3\n"
-            "\n"
-            "e 0 1\ne 1 2\nae 0 2\n"
-            "\n"
-            "e 0 1\ne 0 2\ne 1 2\nae 0 3\nae 1 3\nae 2 3\nav 3\n"
-        )
-        ps = load_patterns(str(f))
-        assert len(ps) == 3
-        assert ps[0].canonical() == clique(3).with_labels([1, 2, 3]).canonical()
-        assert ps[1].are_anti_adjacent(0, 2)
-        assert ps[2].anti_vertices == frozenset({3})
-
-    @pytest.mark.parametrize(
-        "line",
-        ["edge 0 1", "e 0", "l 0", "e 0 1 2", "av 0 1", "e 0 x"],
-        ids=["unknown-tag", "e-short", "l-short", "e-long", "av-long", "not-int"],
-    )
-    def test_bad_line_raises(self, tmp_path, line):
-        f = tmp_path / "bad.txt"
-        f.write_text(f"# header\ne 0 1\n{line}\n")
-        with pytest.raises(ValueError, match=f"line 3: {re.escape(repr(line))}"):
-            load_patterns(str(f))
 
 
 class TestIsomorphismVsNetworkx:
