@@ -26,7 +26,7 @@ def dataset(sparkb):
 
     def get(name: str) -> SparkGraph:
         if name not in loaded:
-            loaded[name] = SparkGraph.load(sparkb, datasets.all_datasets()[name])
+            loaded[name] = SparkGraph.load(sparkb, datasets.dataset(name))
         return loaded[name]
 
     yield get

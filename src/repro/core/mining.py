@@ -96,12 +96,15 @@ def exists_clique(edges: DataFrame, k: int) -> bool:
     j < k, so the search proceeds size-by-size and stops at the first
     absent size — the paper's observation that 'several partial
     explorations do not lead to a complete 14-clique' becomes an
-    anti-monotone stop. (A single 14-clique plan would also be correct,
-    but it would intersect 13 adjacency arrays deep before its first
-    answer; staging stops at the first absent size, which is the dataflow
-    analog of Peregrine abandoning a start vertex as soon as candidates
-    run dry.) The stages start at 3, since a graph with a triangle has an
-    edge; only k = 2 runs the one stage that looks for an edge."""
+    anti-monotone stop. When the answer is no, a single k-clique plan
+    would explore the same partial cliques as the last stage; what
+    staging avoids is planning clique(k). Plan generation enumerates
+    Aut(p), and a k-clique has k! automorphisms: ``generate_plan`` takes
+    about 0.06 s at k = 7, 0.5 s at 8 and 4 s at 9 (one core of a 4-vCPU
+    VM), and clique(14) has 14! ≈ 8.7e10. The largest cliques of the lite
+    datasets have 4 to 6 vertices, so the staged search never plans past
+    clique(7). The stages start at 3, since a graph with a triangle
+    has an edge; only k = 2 runs the one stage that looks for an edge."""
     if k < 2:
         raise ValueError(f"a clique has at least 2 vertices, got k={k}")
     for j in range(min(k, 3), k + 1):
@@ -160,7 +163,7 @@ def _discover_supports(
     s = pattern.canonical()
     autos = s.automorphisms()
     regs = range(s.n)
-    df = match_df(edges, s, labels=labels, symmetry_breaking=symmetry_breaking)
+    df = match_df(edges, s, symmetry_breaking=symmetry_breaking)
     for u in regs:
         lu = labels.select(F.col("v").alias(f"v{u}"), F.col("label").alias(f"l{u}"))
         df = df.join(F.broadcast(lu), on=f"v{u}", how="inner")

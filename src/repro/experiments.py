@@ -31,9 +31,7 @@ from pyspark.sql import SparkSession
 from .baseline import bfs, dfs, purpose
 from .baseline.common import BaselineMetrics
 from .core import mining
-from .core.matcher import MatchStats, count_matches
-from .core.pattern import clique, generate_all_vertex_induced
-from .core.plan import vertex_induced_rewrite
+from .core.pattern import generate_all_vertex_induced
 from .graph import datasets
 from .harness import (
     BUDGET,
@@ -130,9 +128,10 @@ def _fsm(tau: int) -> dict[str, Thunk]:
         "PRG": prg(True),
         "PRG-U": prg(False),
         "ABQ": lambda sg: bfs.bfs_fsm(sg, tau).result,
-        # DFS budgets are per task (the worker-memory analog); a small
-        # per-task budget makes resource exhaustion report quickly
-        # instead of grinding every task to its full individual budget.
+        # DFS budgets are per task (the worker-memory analog) and the
+        # first task over its budget fails the run, so BUDGET // TASKS
+        # is the most any one task may explore: it decides which FSM
+        # cells record '—'.
         "FCL": lambda sg: dfs.dfs_fsm(
             sg, tau, budget=dfs.BUDGET // dfs.TASKS).result,
     }
@@ -145,7 +144,7 @@ def _match(pname: str) -> dict[str, Thunk]:
     # per-task budget reports the blow-up as '—'
     budget = dfs.BUDGET if pat.n <= 4 else dfs.BUDGET // dfs.TASKS
     impls = {
-        "PRG": lambda sg: count_matches(sg.edges, pat, labels=sg.labels),
+        "PRG": lambda sg: mining.match_pattern(sg.edges, pat, labels=sg.labels),
         "FCL": lambda sg: dfs.dfs_match_pattern(sg, pat, budget=budget).result,
     }
     if pat is P2:  # G-Miner's matching app is specific to labeled p2
@@ -162,18 +161,13 @@ def _profile(m: BaselineMetrics) -> dict:
 def _profiles(k: int, motifs: bool) -> dict[str, Thunk]:
     """Figure 1b (4-cliques) / 1c (3-motifs) counters, run to completion
     (``budget=None``): the counts are the experiment."""
-    patterns = (
-        [vertex_induced_rewrite(p) for p in generate_all_vertex_induced(k)]
-        if motifs else [clique(k)]
-    )
 
     def prg(sg):
-        stats = MatchStats()
-        n = sum(count_matches(sg.edges, p, stats=stats) for p in patterns)
-        # a pattern-aware plan runs no per-match canonicality or
-        # isomorphism computation
-        return dict(explored=stats.matches_explored, canonicality=0,
-                    isomorphism=0, result=n)
+        n = (sum(mining.count_motifs(sg.edges, k).values()) if motifs
+             else mining.count_cliques(sg.edges, k))
+        # a pattern-aware plan explores only its matches and runs no
+        # per-match canonicality or isomorphism computation
+        return dict(explored=n, canonicality=0, isomorphism=0, result=n)
 
     def bfs_run(mode):
         fn = bfs.bfs_count_motifs if motifs else bfs.bfs_count_cliques
@@ -190,8 +184,8 @@ def _profiles(k: int, motifs: bool) -> dict[str, Thunk]:
 
 _CONSTRAINED = {
     "14-Clique exists": lambda sg: mining.exists_clique(sg.edges, 14),
-    "Anti-Vertex p7": lambda sg: count_matches(sg.edges, P7),
-    "Anti-Edge p8": lambda sg: count_matches(sg.edges, P8),
+    "Anti-Vertex p7": lambda sg: mining.match_pattern(sg.edges, P7),
+    "Anti-Edge p8": lambda sg: mining.match_pattern(sg.edges, P8),
 }
 
 
@@ -281,8 +275,8 @@ def run_table(
     loaded = {}
     if graphs is None:
         need = {s.data for s in specs(table) if s.run is not None}
-        loaded = graphs = {n: SparkGraph.load(spark, g)
-                           for n, g in datasets.all_datasets().items() if n in need}
+        loaded = graphs = {n: SparkGraph.load(spark, datasets.dataset(n))
+                           for n in datasets.DATASETS if n in need}
     commit = engine_commit() if path else ""
     results = {}
     for s in specs(table):
@@ -367,10 +361,7 @@ def render(table: str, results: dict[str, Cell]) -> str:
 # Table 2 — dataset statistics
 # ---------------------------------------------------------------------------
 def run_table2() -> tuple[str, list[dict]]:
-    import pandas as pd
-
-    rows = [{**r, "L": None if pd.isna(r["L"]) else int(r["L"])}
-            for r in datasets.dataset_stats().to_dict("records")]
+    rows = datasets.dataset_stats()
     md = markdown_table(
         ["G", "|V(G)|", "|E(G)|", "|L(G)|", "Max deg", "Avg deg"],
         [[r["G"], r["V"], r["E"], "—" if r["L"] is None else r["L"],

@@ -1,76 +1,55 @@
 """Table 2 stand-in datasets (laptop-scale substitutes, see DESIGN.md).
 
-Each factory is deterministic. Relative structure mirrors Table 2:
+``DATASETS`` names each lite graph once, by its Table 2 column ``G``,
+with the ``powerlaw_graph`` arguments and label count that build it
+(``with_labels`` reuses the graph's seed). Relative structure mirrors
+Table 2:
 
-* ``mico_lite``       — small, dense, labeled (paper: 100K v / 1.1M e / 29 labels)
-* ``patents_lite``    — larger, sparse, unlabeled (paper: 3.7M v / 16M e);
-  ``patents_lite_labeled`` is the smaller labeled variant (paper: 2.7M /
-  13M / 37 'year' labels)
-* ``orkut_lite``      — dense social graph (paper: 3M v / 117M e)
-* ``friendster_lite`` — largest and sparse (paper: 65M v / 1.8B e)
+* ``MI``         — small, dense, labeled (Mico: 100K v / 1.1M e / 29 labels)
+* ``PA``         — larger, sparse, unlabeled (Patents: 3.7M v / 16M e);
+  ``PA-labeled`` is the smaller labeled variant (2.7M / 13M / 37 'year'
+  labels)
+* ``OK``         — dense social graph (Orkut: 3M v / 117M e)
+* ``FR``         — largest and sparse (Friendster: 65M v / 1.8B e)
 
-``dataset_stats`` reproduces the Table 2 columns for the lite graphs.
+``dataset(name)`` builds a graph once per process; ``dataset_stats``
+reproduces the Table 2 columns for the lite graphs.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-
-import pandas as pd
+from typing import Optional
 
 from .gengraph import Graph, powerlaw_graph, with_labels
 
-
-@lru_cache(maxsize=None)
-def mico_lite() -> Graph:
-    g = powerlaw_graph(800, 3000, alpha=0.5, seed=11, name="MI")
-    return with_labels(g, 8, seed=11)
-
-
-@lru_cache(maxsize=None)
-def patents_lite() -> Graph:
-    return powerlaw_graph(3000, 8000, alpha=0.45, seed=22, name="PA")
+#: name → (vertices, edges, alpha, seed, labels or None)
+DATASETS: dict[str, tuple[int, int, float, int, Optional[int]]] = {
+    "MI": (800, 3000, 0.5, 11, 8),
+    "PA": (3000, 8000, 0.45, 22, None),
+    "PA-labeled": (2500, 6500, 0.45, 23, 10),
+    "OK": (2000, 12000, 0.5, 33, None),
+    "FR": (9000, 18000, 0.45, 44, None),
+}
 
 
 @lru_cache(maxsize=None)
-def patents_lite_labeled() -> Graph:
-    g = powerlaw_graph(2500, 6500, alpha=0.45, seed=23, name="PA-labeled")
-    return with_labels(g, 10, seed=23)
-
-
-@lru_cache(maxsize=None)
-def orkut_lite() -> Graph:
-    return powerlaw_graph(2000, 12000, alpha=0.5, seed=33, name="OK")
-
-
-@lru_cache(maxsize=None)
-def friendster_lite() -> Graph:
-    return powerlaw_graph(9000, 18000, alpha=0.45, seed=44, name="FR")
+def dataset(name: str) -> Graph:
+    n, m, alpha, seed, labels = DATASETS[name]
+    g = powerlaw_graph(n, m, alpha=alpha, seed=seed, name=name)
+    return g if labels is None else with_labels(g, labels, seed=seed)
 
 
 def all_datasets() -> dict[str, Graph]:
-    return {
-        "MI": mico_lite(),
-        "PA": patents_lite(),
-        "PA-labeled": patents_lite_labeled(),
-        "OK": orkut_lite(),
-        "FR": friendster_lite(),
-    }
+    return {name: dataset(name) for name in DATASETS}
 
 
-def dataset_stats() -> pd.DataFrame:
-    """Table 2 columns for the lite graphs: |V|, |E| (undirected),
-    |L| (None for unlabeled), max degree, average degree."""
+def dataset_stats() -> list[dict]:
+    """Table 2 columns for the lite graphs, one JSON-ready record per
+    graph: |V|, |E| (undirected), |L| (None for unlabeled), max degree,
+    average degree."""
     rows = []
-    for key, g in all_datasets().items():
+    for name, g in all_datasets().items():
         deg = g.degrees()
-        rows.append(
-            {
-                "G": key,
-                "V": g.n_vertices,
-                "E": g.n_edges,
-                "L": g.n_labels,
-                "max_deg": int(deg.max()),
-                "avg_deg": round(float(deg.mean()), 1),
-            }
-        )
-    return pd.DataFrame(rows)
+        rows.append(dict(G=name, V=g.n_vertices, E=g.n_edges, L=g.n_labels,
+                         max_deg=int(deg.max()), avg_deg=round(float(deg.mean()), 1)))
+    return rows

@@ -7,11 +7,12 @@ the structural knobs the evaluation depends on: heavy-tailed degrees,
 controllable density, optional vertex labels.
 
 Graphs are built as pandas frames on the driver (lite graphs are ≤ tens
-of thousands of edges), then handed to Spark as the symmetric edge table
-``edges(src, dst)`` the matching engine consumes. §5.2's degree-based
-vertex ordering is applied at construction: vertex ids are reassigned in
-ascending-degree order, so the engine's ``<`` symmetry-breaking
-predicates double as the paper's degree-ordered pruning.
+of thousands of edges); ``harness.SparkGraph.load`` hands them to Spark
+as the symmetric edge table ``edges(src, dst)`` the matching engine
+consumes. §5.2's degree-based vertex ordering is applied at
+construction: vertex ids are reassigned in ascending-degree order, so
+the engine's ``<`` symmetry-breaking predicates double as the paper's
+degree-ordered pruning.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 @dataclass
@@ -50,14 +50,6 @@ class Graph:
 
     def degrees(self) -> pd.Series:
         return self.edges_pdf.groupby("src").size()
-
-    def to_spark(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.edges_pdf)
-
-    def labels_to_spark(self, spark: SparkSession) -> Optional[DataFrame]:
-        if self.labels_pdf is None:
-            return None
-        return spark.createDataFrame(self.labels_pdf)
 
     def edge_tuples(self) -> list[tuple[int, int]]:
         """One direction only, for the pure-Python reference."""

@@ -94,12 +94,12 @@ class SparkGraph:
     @staticmethod
     def load(spark: SparkSession, g: Graph) -> "SparkGraph":
         check_graph(g)
-        edges = g.to_spark(spark).cache()
+        edges = spark.createDataFrame(g.edges_pdf).cache()
         adj = adjacency(edges).cache()
         adj.count()  # scans every edge partition, so it fills both caches
-        labels = g.labels_to_spark(spark)
-        if labels is not None:
-            labels = labels.cache()
+        labels = None
+        if g.labels_pdf is not None:
+            labels = spark.createDataFrame(g.labels_pdf).cache()
             labels.count()
         return SparkGraph(graph=g, edges=edges, labels=labels, adj=adj)
 

@@ -13,7 +13,7 @@ import pytest
 from repro.core.pattern import Pattern, chain, clique, star
 from repro.graph.gengraph import Graph, from_edge_list, powerlaw_graph, with_labels
 from repro.harness import SparkGraph
-from repro.patterns_eval import P1, P2, P3, P4, P5, P6, P7, P8
+from repro.patterns_eval import P1, P2, P3, P4, P6, P7, P8
 from repro.reference import RefGraph
 
 
@@ -121,5 +121,3 @@ LABELED_PATTERNS = {
     "labeled_wedge": star(3).with_labels([1, 2, None]),
     "labeled_edge": chain(2).with_labels([1, 1]),
 }
-
-ALL_EVAL = {"p1": P1, "p2": P2, "p3": P3, "p4": P4, "p5": P5, "p6": P6, "p7": P7, "p8": P8}

@@ -5,16 +5,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.graph.datasets import (
-    all_datasets,
-    dataset_stats,
-    friendster_lite,
-    mico_lite,
-    orkut_lite,
-    patents_lite,
-    patents_lite_labeled,
-)
+from repro.graph.datasets import all_datasets, dataset, dataset_stats
 from repro.graph.gengraph import from_edge_list, powerlaw_graph, with_labels
+from repro.harness import SparkGraph
 
 PINNED_DIGESTS = {
     "MI": "545ce37d50d7f8e3572df42a6a31ca0d736a50c5ec42e47c5ebb0aa55f1ac4c0",
@@ -103,28 +96,28 @@ class TestDatasets:
     def test_relative_structure_matches_table2(self):
         """The lite graphs preserve Table 2's relative shape: FR largest,
         MI smallest and labeled, OK densest."""
-        mi, pa, ok, fr = mico_lite(), patents_lite(), orkut_lite(), friendster_lite()
+        mi, pa, ok, fr = (dataset(n) for n in ("MI", "PA", "OK", "FR"))
         assert fr.n_vertices > pa.n_vertices > mi.n_vertices
         assert mi.n_labels is not None and pa.n_labels is None
         avg = lambda g: 2 * g.n_edges / g.n_vertices
         assert avg(ok) > avg(mi) and avg(ok) > avg(fr)
 
     def test_labeled_patents_smaller(self):
-        assert patents_lite_labeled().n_vertices < patents_lite().n_vertices
-        assert patents_lite_labeled().n_labels == 10
+        assert dataset("PA-labeled").n_vertices < dataset("PA").n_vertices
+        assert dataset("PA-labeled").n_labels == 10
 
     def test_stats_table_shape(self):
         stats = dataset_stats()
-        assert list(stats.columns) == ["G", "V", "E", "L", "max_deg", "avg_deg"]
+        assert all(list(r) == ["G", "V", "E", "L", "max_deg", "avg_deg"] for r in stats)
         assert len(stats) == 5
 
     def test_stats_consistency(self):
-        stats = dataset_stats().set_index("G")
-        mi = mico_lite()
-        assert stats.loc["MI", "V"] == mi.n_vertices
-        assert stats.loc["MI", "E"] == mi.n_edges
+        stats = {r["G"]: r for r in dataset_stats()}
+        mi = dataset("MI")
+        assert stats["MI"]["V"] == mi.n_vertices
+        assert stats["MI"]["E"] == mi.n_edges
         deg = mi.degrees()
-        assert stats.loc["MI", "max_deg"] == deg.max()
+        assert stats["MI"]["max_deg"] == deg.max()
 
     @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
     def test_graph_data_pinned(self, name):
@@ -140,11 +133,13 @@ class TestDatasets:
         assert h.hexdigest() == PINNED_DIGESTS[name]
 
     def test_caching(self):
-        assert mico_lite() is mico_lite()
+        assert dataset("MI") is dataset("MI")
 
     def test_spark_roundtrip(self, sparks):
-        g = mico_lite()
-        edges = g.to_spark(sparks)
-        assert edges.count() == len(g.edges_pdf)
-        labels = g.labels_to_spark(sparks)
-        assert labels.count() == len(g.labels_pdf)
+        g = dataset("MI")
+        sg = SparkGraph.load(sparks, g)
+        try:
+            assert sg.edges.count() == len(g.edges_pdf)
+            assert sg.labels.count() == len(g.labels_pdf)
+        finally:
+            sg.unload()

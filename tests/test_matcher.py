@@ -15,10 +15,10 @@ from repro.core.pattern import Pattern, chain, clique, star
 from repro.core.plan import vertex_induced_rewrite
 from repro.oracle import assert_equivalent
 from repro.oracle_sql import count_sql, matches_sql, mni_support_sql
+from repro.patterns_eval import EVAL_PATTERNS
 from repro.reference import ref_count, ref_matches, ref_mni_support
 
 from .conftest import (
-    ALL_EVAL,
     CONSTRAINED_PATTERNS,
     LABELED_PATTERNS,
     PLAIN_PATTERNS,
@@ -65,15 +65,15 @@ class TestConstrainedPatterns:
 
     def test_p8_equals_induced_diamond(self, small):
         """§6.5: p8 is the vertex-induced chordal square."""
-        assert count_matches(small.edges, ALL_EVAL["p8"]) == count_matches(
-            small.edges, vertex_induced_rewrite(ALL_EVAL["p1"])
+        assert count_matches(small.edges, EVAL_PATTERNS["p8"]) == count_matches(
+            small.edges, vertex_induced_rewrite(EVAL_PATTERNS["p1"])
         )
 
     def test_anti_vertex_requires_outside_witness_absence(self, small):
         """p7 count = triangles minus triangles contained in a 4-clique
         (every triangle in a 4-clique has the 4th vertex as witness)."""
         triangles = count_matches(small.edges, clique(3))
-        maximal = count_matches(small.edges, ALL_EVAL["p7"])
+        maximal = count_matches(small.edges, EVAL_PATTERNS["p7"])
         assert 0 <= maximal <= triangles
 
 
@@ -144,10 +144,10 @@ class TestEnumeration:
 class TestEvalPatterns:
     @pytest.mark.parametrize("name", ["p1", "p3", "p4", "p5", "p6", "p7", "p8"])
     def test_unlabeled_eval_patterns(self, name, small):
-        _check_count(small, ALL_EVAL[name])
+        _check_count(small, EVAL_PATTERNS[name])
 
     def test_p2_labeled(self, small_lab):
-        p = ALL_EVAL["p2"]
+        p = EVAL_PATTERNS["p2"]
         got = count_matches(small_lab.edges, p, labels=small_lab.labels)
         assert got == ref_count(ref_of(small_lab.graph), p)
 
@@ -184,7 +184,7 @@ class TestPlanIntegration:
         assert df.columns == ["v0", "v1", "v2", "v3"]
 
     def test_anti_vertex_columns_excluded(self, small):
-        df = match_df(small.edges, ALL_EVAL["p7"])
+        df = match_df(small.edges, EVAL_PATTERNS["p7"])
         assert df.columns == ["v0", "v1", "v2"]
 
 

@@ -12,8 +12,9 @@ from repro.core.plan import (
     min_connected_vertex_cover,
     vertex_induced_rewrite,
 )
+from repro.patterns_eval import EVAL_PATTERNS
 
-from .conftest import ALL_EVAL, CONSTRAINED_PATTERNS, LABELED_PATTERNS, PLAIN_PATTERNS
+from .conftest import CONSTRAINED_PATTERNS, LABELED_PATTERNS, PLAIN_PATTERNS
 
 ALL_PATTERNS = {**PLAIN_PATTERNS, **CONSTRAINED_PATTERNS}
 
@@ -226,7 +227,7 @@ PLAN_DIGEST = "abceafa7190e4ddf09f5f0d5ddd8345b602d4cc9f7d7c6ce7bb16eaf136970bb"
 def test_plans_are_pinned():
     """The test zoo, p1–p8 and the 3- and 4-vertex motifs keep their
     plans."""
-    pinned = {**PLAIN_PATTERNS, **CONSTRAINED_PATTERNS, **LABELED_PATTERNS, **ALL_EVAL}
+    pinned = {**PLAIN_PATTERNS, **CONSTRAINED_PATTERNS, **LABELED_PATTERNS, **EVAL_PATTERNS}
     pinned |= {
         f"motif{k}-{i}": p
         for k in (3, 4)

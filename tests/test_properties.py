@@ -214,7 +214,7 @@ class TestEngineProperties:
         rnd = random.Random(seed)
         n = max(max(e) for e in edges) + 1
         g = from_edge_list(edges, labels={v: rnd.randrange(2) for v in range(n)})
-        e, lab = g.to_spark(sparks), g.labels_to_spark(sparks)
+        e, lab = sparks.createDataFrame(g.edges_pdf), sparks.createDataFrame(g.labels_pdf)
         q = vertex_induced_rewrite(p) if induced else p
         want = sorted(ref_matches(RefGraph(g.edge_tuples(), g.label_dict()), q))
         rows = match_df(e, q, labels=lab).collect()
